@@ -369,9 +369,6 @@ def _cmd_compare(args):
 
 def _cmd_plan(args):
     expected_mode = args.alpha is not None
-    confident_mode = args.tau is not None or args.p is not None
-    if expected_mode == confident_mode:
-        raise ValueError("plan needs either --alpha or both --tau and --p")
     query = PlanQuery(
         n=args.n,
         m=args.m,

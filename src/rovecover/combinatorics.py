@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,7 +32,6 @@ def _validate_stirling_args(n: int, k: int) -> None:
         raise ValueError(f"stirling2 requires n >= 1 and k >= 1, got n={n}, k={k}")
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks.
 

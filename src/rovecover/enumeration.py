@@ -20,9 +20,9 @@ from .subset_scheme import (
     SCHEME_SUBSET,
     CoverageDistribution,
     Params,
-    coverage_pmf,
     make_distribution,
     nested_pmf_terms,
+    q_count,
     support_bounds,
 )
 
@@ -207,12 +207,15 @@ def crosscheck(
     """Compare the two closed-form routes per t, then arbitrate by enumeration
     when it fits the budget. Raises for k < 4 (the nested formula does not
     exist there) and when the nested evaluation itself is over budget."""
-    closed = coverage_pmf(params)
     nested = nested_pmf_terms(params, term_budget)
+    # The paper's closed form: C(n, t) * q_count(k, m, t) of C(n, m)^k outcomes.
+    n, m, k = params.n, params.m, params.k
+    outcomes = binomial(n, m) ** k
+    closed = {t: Fraction(binomial(n, t) * q_count(k, m, t), outcomes) for t in nested}
     discrepancies = tuple(
-        CrosscheckRow(t=t, nested=nested[t], closed=closed.pmf[t])
+        CrosscheckRow(t=t, nested=nested[t], closed=closed[t])
         for t in sorted(nested)
-        if nested[t] != closed.pmf[t]
+        if nested[t] != closed[t]
     )
     try:
         oracle = enumerate_subset_scheme(params, outcome_budget)
@@ -231,6 +234,6 @@ def crosscheck(
         nested_vs_closed_agree=not discrepancies,
         discrepancies=discrepancies,
         enumeration_available=True,
-        enumeration_agrees_closed=reference.pmf == dict(closed.pmf),
+        enumeration_agrees_closed=reference.pmf == closed,
         enumeration_agrees_nested=reference.pmf == nested,
     )

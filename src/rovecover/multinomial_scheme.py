@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .combinatorics import (
     binomial,
@@ -25,13 +24,11 @@ from .subset_scheme import (
     SCHEME_MULTINOMIAL,
     CoverageDistribution,
     Params,
+    _chain_distribution,
     coverage_pmf,
-    make_distribution,
-    support_bounds,
 )
 
 
-@lru_cache(maxsize=None)
 def r_count(k: int, m: int, t: int) -> int:
     """Number of length-(m*k) sequences over a t-node alphabet that use
     every node at least once, by inclusion-exclusion over missed nodes."""
@@ -58,19 +55,16 @@ def r_via_stirling(k: int, m: int, t: int) -> int:
     return math.factorial(t) * stirling2(m * k, t)
 
 
-@lru_cache(maxsize=None)
 def multinomial_coverage_pmf(params: Params) -> CoverageDistribution:
     """Exact distribution of the distinct-node count over all n^(mk) equally
     likely node sequences; support starts at t = 1 because a stage may
-    collapse onto a single node."""
+    collapse onto a single node. The covered-count chain takes m single
+    drops per stage: with c nodes covered, a drop keeps the count in c of
+    its n ways and raises it by one in the other n - c."""
     n, m, k = params.n, params.m, params.k
-    denominator = n ** (m * k)
-    lo, hi = support_bounds(params, SCHEME_MULTINOMIAL)
-    values = {
-        t: Fraction(binomial(n, t) * r_count(k, m, t), denominator)
-        for t in range(lo, hi + 1)
-    }
-    return make_distribution(params, SCHEME_MULTINOMIAL, values)
+    return _chain_distribution(
+        params, SCHEME_MULTINOMIAL, m * k, lambda c: ((c, c), (c + 1, n - c)), n ** (m * k)
+    )
 
 
 def repetition_mean(n: int, m: int) -> Fraction:

@@ -20,14 +20,16 @@ from .subset_scheme import (
     CoverageDistribution,
     Params,
     coverage_pmf,
+    miss_ratio,
+    support_bounds,
 )
 
 DEFAULT_K_MAX = 10_000
 
 # Exact mean re-verification via the full PMF summation is skipped beyond
-# these sizes (the inclusion-exclusion terms carry n-choose powers with
-# exponent up to m*k); the closed-form predicate, also exact, then stands
-# alone.
+# these sizes (the chain's work grows with m*k times the support size, on
+# counts of up to m*k*log2(n) bits); the closed-form predicate, also exact,
+# then stands alone.
 _PMF_VERIFY_MAX_N = 64
 _PMF_VERIFY_MAX_MK = 600
 
@@ -99,18 +101,6 @@ class PlanResult:
         }
 
 
-def _per_agent_miss_ratio(scheme_tag: str, n: int, m: int) -> Fraction:
-    # Probability a fixed node is missed by one agent/stage.
-    if scheme_tag == SCHEME_SUBSET:
-        return Fraction(n - m, n)
-    return Fraction(n - 1, n) ** m
-
-
-def _closed_form_mean(n: int, miss_ratio: Fraction, k: int) -> Fraction:
-    # Linearity of expectation: each node is covered unless all k rounds miss it.
-    return n * (1 - miss_ratio**k)
-
-
 def _distribution(scheme_tag: str, params: Params) -> CoverageDistribution:
     if scheme_tag == SCHEME_SUBSET:
         return coverage_pmf(params)
@@ -130,7 +120,7 @@ def min_agents_expected(query: PlanQuery) -> PlanResult:
         raise ValueError("query has no expected_fraction target")
     alpha = query.expected_fraction
     n, m = query.n, query.m
-    miss = _per_agent_miss_ratio(query.scheme_tag, n, m)
+    miss = miss_ratio(query.scheme_tag, n, m)
     target = {"expected_fraction": rational_to_json(alpha), "scheme": query.scheme_tag}
 
     if miss == 0:
@@ -155,8 +145,9 @@ def min_agents_expected(query: PlanQuery) -> PlanResult:
     while miss**k > allowed_miss:
         k += 1
 
-    achieved_mean = _closed_form_mean(n, miss, k)
-    verified_prev = k == 1 or _closed_form_mean(n, miss, k - 1) < alpha * n
+    # Linearity of expectation: each node is covered unless all k rounds miss it.
+    achieved_mean = n * (1 - miss**k)
+    verified_prev = k == 1 or n * (1 - miss ** (k - 1)) < alpha * n
     if n <= _PMF_VERIFY_MAX_N and m * k <= _PMF_VERIFY_MAX_MK:
         summed = _distribution(query.scheme_tag, Params(n, m, k)).mean()
         if summed != achieved_mean:
@@ -184,6 +175,11 @@ def min_agents_confident(query: PlanQuery) -> PlanResult:
     if query.threshold is None or query.confidence is None:
         raise ValueError("query has no threshold/confidence target")
     tau, p = query.threshold, query.confidence
+    # All agents may visit the same nodes, so for every k the coverage stays
+    # at the k = 1 floor with positive probability.
+    floor, _ = support_bounds(Params(query.n, query.m, 1), query.scheme_tag)
+    if p == 1 and tau > floor:
+        raise ValueError(f"a confidence of 1 is infeasible for tau > {floor}")
     target = {
         "threshold": tau,
         "confidence": rational_to_json(p),

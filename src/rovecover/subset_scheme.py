@@ -12,7 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -115,25 +114,20 @@ class CoverageDistribution:
 
 
 def make_distribution(
-    params: Params,
-    scheme_tag: str,
-    values: Mapping[int, Fraction],
-    check_total: bool = True,
+    params: Params, scheme_tag: str, values: Mapping[int, Fraction]
 ) -> CoverageDistribution:
-    """Assemble a distribution, verifying exact normalization by default."""
+    """Assemble a distribution, verifying exact normalization."""
     lo, hi = support_bounds(params, scheme_tag)
     pmf = {t: values[t] for t in range(lo, hi + 1)}
-    if check_total:
-        total = sum(pmf.values(), Fraction(0))
-        if total != 1:
-            raise ArithmeticError(
-                f"pmf for {params} ({scheme_tag}) sums to {total}, expected 1"
-            )
-    # Distributions are cached and shared between callers; freeze the mapping.
+    total = sum(pmf.values(), Fraction(0))
+    if total != 1:
+        raise ArithmeticError(
+            f"pmf for {params} ({scheme_tag}) sums to {total}, expected 1"
+        )
+    # Freeze the mapping too, so no caller can change a returned result.
     return CoverageDistribution(params, scheme_tag, lo, hi, MappingProxyType(pmf))
 
 
-@lru_cache(maxsize=None)
 def q_count(k: int, m: int, t: int) -> int:
     """Number of k x t binary matrices with exactly m ones per row and no
     all-zero column, by inclusion-exclusion over the empty columns."""
@@ -148,41 +142,59 @@ def q_count(k: int, m: int, t: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def coverage_pmf(params: Params) -> CoverageDistribution:
-    """Exact distribution of the union size under the subset scheme.
+def _chain_distribution(
+    params: Params, scheme_tag: str, steps: int, moves, outcomes: int
+) -> CoverageDistribution:
+    """Distribution of the covered-node count after ``steps`` steps of the
+    covered-count chain (Stadje, Adv. Appl. Prob. 22, 1990), starting with
+    no node covered, out of ``outcomes`` equally likely outcomes.
+    ``moves(c)`` lists the (next count, number of ways) pairs of one step
+    from c. Every term is a nonnegative count, so nothing cancels."""
+    # Every step has the same moves: one row per covered count, <= n + 1 rows.
+    table: dict[int, list[tuple[int, int]]] = {}
+    counts = {0: 1}
+    for _ in range(steps):
+        advanced: dict[int, int] = {}
+        for covered, ways in counts.items():
+            row = table.get(covered)
+            if row is None:
+                row = table[covered] = [(c, w) for c, w in moves(covered) if w]
+            for nxt, weight in row:
+                advanced[nxt] = advanced.get(nxt, 0) + ways * weight
+        counts = advanced
+    values = {t: Fraction(count, outcomes) for t, count in counts.items()}
+    return make_distribution(params, scheme_tag, values)
 
-    For each t in [m, min(km, n)] the probability is the count of covering
-    arrangements, C(n, t) * q_count(k, m, t), over the C(n, m)^k equally
-    likely ordered subset collections. All arithmetic is exact; the shared
-    denominator is computed once.
-    """
+
+def coverage_pmf(params: Params) -> CoverageDistribution:
+    """Exact distribution of the union size under the subset scheme. The
+    covered-count chain takes one step per agent: with c nodes covered, an
+    agent whose subset overlaps them in j nodes moves the count to
+    c + m - j in C(c, j) * C(n - c, m - j) of its C(n, m) ways."""
     n, m, k = params.n, params.m, params.k
-    denominator = binomial(n, m) ** k
-    lo, hi = support_bounds(params, SCHEME_SUBSET)
-    values = {
-        t: Fraction(binomial(n, t) * q_count(k, m, t), denominator)
-        for t in range(lo, hi + 1)
-    }
-    return make_distribution(params, SCHEME_SUBSET, values)
+
+    def moves(c):
+        return [(c + m - j, math.comb(c, j) * math.comb(n - c, m - j))
+                for j in range(max(0, m - (n - c)), min(c, m) + 1)]
+
+    return _chain_distribution(params, SCHEME_SUBSET, k, moves, binomial(n, m) ** k)
+
+
+def miss_ratio(scheme_tag: str, n: int, m: int) -> Fraction:
+    """Probability that one agent (or multinomial stage) misses a node."""
+    if scheme_tag == SCHEME_SUBSET:
+        return Fraction(n - m, n)
+    return Fraction(n - 1, n) ** m
 
 
 def mean_coverage(params: Params) -> Fraction:
-    """Exact expected number of covered nodes, as the PMF-weighted sum."""
-    return coverage_pmf(params).mean()
+    """Exact expected coverage n * (1 - miss^k) under the subset scheme."""
+    return params.n * (1 - miss_ratio(SCHEME_SUBSET, params.n, params.m) ** params.k)
 
 
 def tail_probability(params: Params, tau: int) -> Fraction:
     """Pr(covered count >= tau) under the subset scheme."""
     return coverage_pmf(params).tail(tau)
-
-
-def _choose(a: int, b: int) -> int:
-    # Permissive variant for chained products: impossible selections give a
-    # zero term instead of an error.
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def nested_term_count(params: Params) -> int:
@@ -203,15 +215,15 @@ def _nested_numerator(n: int, m: int, k: int, t: int) -> int:
         term = 1
         covered = m
         for m_j in overlaps:
-            term *= _choose(covered, m_j) * _choose(n - covered, m - m_j)
+            term *= binomial(covered, m_j) * binomial(n - covered, m - m_j)
             if term == 0:
                 break
             covered += m - m_j
         if term == 0:
             continue
         shared = sum(overlaps)
-        term *= _choose(covered, k * m - t - shared)
-        term *= _choose(n - covered, t - covered)
+        term *= binomial(covered, k * m - t - shared)
+        term *= binomial(n - covered, t - covered)
         total += term
     return total
 

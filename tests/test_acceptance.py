@@ -105,6 +105,7 @@ def test_criterion_05_mean_consistency():
             for k in range(1, 7):
                 closed = n * (1 - Fraction(n - m, n) ** k)
                 assert mean_coverage(Params(n, m, k)) == closed, (n, m, k)
+                assert coverage_pmf(Params(n, m, k)).mean() == closed, (n, m, k)
 
 
 def test_criterion_06_conditional_equivalence():

@@ -150,7 +150,7 @@ class TestScalarCommands:
     def test_plan_cap_exceeded_exit(self, capsys):
         code, out, _ = run_main(
             capsys,
-            "plan", "--n", "4", "--m", "2", "--tau", "4", "--p", "1",
+            "plan", "--n", "4", "--m", "2", "--tau", "4", "--p", "999/1000",
             "--k-max", "10",
         )
         assert code == 3
@@ -218,6 +218,21 @@ class TestErrorHandling:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1
         assert "ROVE_COVER_BUDGET" in lines[0]
+
+
+    @pytest.mark.parametrize("target", [[], ["--tau", "3"]])
+    def test_plan_bad_target_single_line(self, capsys, target):
+        code, out, err = run_main(capsys, "plan", "--n", "4", "--m", "2", *target)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    def test_plan_confidence_one_rejected(self, capsys):
+        code, _, err = run_main(
+            capsys, "plan", "--n", "4", "--m", "2", "--tau", "4", "--p", "1"
+        )
+        assert code == 2
+        assert "confidence of 1 is infeasible" in err
 
 
 class TestSimulationCommands:

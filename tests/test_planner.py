@@ -116,12 +116,33 @@ class TestMinAgentsConfident:
 
     def test_cap_exceeded_carries_achieved(self):
         result = min_agents_confident(
-            PlanQuery(n=4, m=2, threshold=4, confidence=Fraction(1), k_max=40)
+            PlanQuery(
+                n=4, m=2, threshold=4, confidence=1 - Fraction(1, 10**15), k_max=40
+            )
         )
         assert result.cap_exceeded
         assert result.k is None
         assert 0 < result.achieved < 1
         assert result.achieved == tail_probability(Params(4, 2, 40), 4)
+
+    def test_confidence_one_above_floor_rejected_before_scanning(self):
+        # Coverage stays at m (subset) or 1 (multinomial) with positive
+        # probability for every k, so p = 1 is out of reach; the scan used
+        # to run all 10 000 k first.
+        for scheme, tau in (("subset", 3), ("multinomial", 2)):
+            with pytest.raises(ValueError, match="confidence of 1 is infeasible"):
+                min_agents_confident(
+                    PlanQuery(n=4, m=2, threshold=tau, confidence=Fraction(1),
+                              scheme_tag=scheme)
+                )
+
+    def test_confidence_one_at_floor_is_one_agent(self):
+        for scheme, tau in (("subset", 1), ("subset", 2), ("multinomial", 1)):
+            result = min_agents_confident(
+                PlanQuery(n=4, m=2, threshold=tau, confidence=Fraction(1),
+                          scheme_tag=scheme)
+            )
+            assert (result.k, result.achieved) == (1, 1)
 
     def test_returned_k_is_minimal(self):
         for n, m, tau, p in [
