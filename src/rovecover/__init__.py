@@ -12,7 +12,7 @@ from .combinatorics import (
     rational_from_json,
     rational_to_json,
     stirling2,
-    stirling2_alternating,
+    stirling2_triangle,
 )
 from .enumeration import (
     CrosscheckReport,
@@ -94,7 +94,7 @@ __all__ = [
     "repetition_mean",
     "simulate",
     "stirling2",
-    "stirling2_alternating",
+    "stirling2_triangle",
     "subset_frequency_histogram",
     "tail_probability",
     "theorem2_check",

@@ -207,12 +207,11 @@ def _cmd_dist(args):
         value = dist.probability(args.point_t)
         rj = rational_to_json(value)
         result = {"scheme": args.scheme, "t": args.point_t, "probability": rj}
-        csv_table = (
+        return echo, result, lambda: (
             ["t", "num", "den", "approx"],
             [[args.point_t, rj["num"], rj["den"], rj["approx"]]],
         )
-        return echo, result, csv_table
-    return echo, dist.to_json_dict(), dist.to_csv_rows()
+    return echo, dist.to_json_dict(), dist.to_csv_rows
 
 
 def _cmd_mean(args):
@@ -220,8 +219,9 @@ def _cmd_mean(args):
     value = mean_coverage(params)
     echo = {"n": args.n, "m": args.m, "k": args.k}
     rj = rational_to_json(value)
-    csv_table = (["num", "den", "approx"], [[rj["num"], rj["den"], rj["approx"]]])
-    return echo, {"mean": rj}, csv_table
+    return echo, {"mean": rj}, lambda: (
+        ["num", "den", "approx"], [[rj["num"], rj["den"], rj["approx"]]]
+    )
 
 
 def _cmd_tail(args):
@@ -229,11 +229,10 @@ def _cmd_tail(args):
     value = tail_probability(params, args.tau)
     echo = {"n": args.n, "m": args.m, "k": args.k, "tau": args.tau}
     rj = rational_to_json(value)
-    csv_table = (
+    return echo, {"tau": args.tau, "probability": rj}, lambda: (
         ["tau", "num", "den", "approx"],
         [[args.tau, rj["num"], rj["den"], rj["approx"]]],
     )
-    return echo, {"tau": args.tau, "probability": rj}, csv_table
 
 
 def _cmd_bounds(args):
@@ -241,42 +240,51 @@ def _cmd_bounds(args):
     report = markov_repetition_bound(params, epsilon=args.epsilon)
     echo = {"n": args.n, "m": args.m, "k": args.k, "epsilon": args.epsilon}
     payload = report.to_json_dict()
-    rows = [
-        [name, *[payload[name][f] for f in ("num", "den", "approx")]]
-        for name in (
-            "repetition_mean",
-            "single_stage_markov_bound",
-            "all_stages_markov_bound",
-            "all_distinct_probability",
-        )
-    ]
-    return echo, payload, (["quantity", "num", "den", "approx"], rows)
+
+    def csv_table():
+        rows = [
+            [name, *[payload[name][f] for f in ("num", "den", "approx")]]
+            for name in (
+                "repetition_mean",
+                "single_stage_markov_bound",
+                "all_stages_markov_bound",
+                "all_distinct_probability",
+            )
+        ]
+        return ["quantity", "num", "den", "approx"], rows
+
+    return echo, payload, csv_table
 
 
 def _cmd_theorem2(args):
     params = Params(args.n, args.m, args.k)
     report = theorem2_check(params)
     echo = {"n": args.n, "m": args.m, "k": args.k}
-    rows = [
-        [
-            row.t,
-            str(row.lhs.numerator),
-            str(row.lhs.denominator),
-            str(row.rhs.numerator),
-            str(row.rhs.denominator),
-            row.holds,
+
+    def csv_table():
+        rows = [
+            [
+                row.t,
+                str(row.lhs.numerator),
+                str(row.lhs.denominator),
+                str(row.rhs.numerator),
+                str(row.rhs.denominator),
+                row.holds,
+            ]
+            for row in report.rows
         ]
-        for row in report.rows
-    ]
-    header = ["t", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "holds"]
-    return echo, report.to_json_dict(), (header, rows)
+        return ["t", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "holds"], rows
+
+    return echo, report.to_json_dict(), csv_table
 
 
 def _cmd_stirling(args):
     value = stirling2(args.big_n, args.big_k)
     echo = {"N": args.big_n, "K": args.big_k}
     result = {"N": args.big_n, "K": args.big_k, "value": str(value)}
-    return echo, result, (["N", "K", "value"], [[args.big_n, args.big_k, str(value)]])
+    return echo, result, lambda: (
+        ["N", "K", "value"], [[args.big_n, args.big_k, result["value"]]]
+    )
 
 
 def _cmd_crosscheck(args):
@@ -284,18 +292,21 @@ def _cmd_crosscheck(args):
     budget = _effective_budget(args)
     report = crosscheck(params, term_budget=budget, outcome_budget=budget)
     echo = {"n": args.n, "m": args.m, "k": args.k}
-    rows = [
-        [
-            row.t,
-            str(row.nested.numerator),
-            str(row.nested.denominator),
-            str(row.closed.numerator),
-            str(row.closed.denominator),
+
+    def csv_table():
+        rows = [
+            [
+                row.t,
+                str(row.nested.numerator),
+                str(row.nested.denominator),
+                str(row.closed.numerator),
+                str(row.closed.denominator),
+            ]
+            for row in report.discrepancies
         ]
-        for row in report.discrepancies
-    ]
-    header = ["t", "nested_num", "nested_den", "closed_num", "closed_den"]
-    return echo, report.to_json_dict(), (header, rows)
+        return ["t", "nested_num", "nested_den", "closed_num", "closed_den"], rows
+
+    return echo, report.to_json_dict(), csv_table
 
 
 def _cmd_enumerate(args):
@@ -306,10 +317,9 @@ def _cmd_enumerate(args):
     else:
         oracle = enumerate_multinomial_scheme(params, outcome_budget=budget)
     echo = {"n": args.n, "m": args.m, "k": args.k, "scheme": args.scheme}
-    rows = [
-        [t, c] for t, c in sorted(oracle.union_size_counts.items())
-    ]
-    return echo, oracle.to_json_dict(), (["t", "count"], rows)
+    return echo, oracle.to_json_dict(), lambda: (
+        ["t", "count"], [[t, c] for t, c in sorted(oracle.union_size_counts.items())]
+    )
 
 
 def _simulation_config(args) -> SimulationConfig:
@@ -336,7 +346,7 @@ def _simulation_echo(args) -> dict:
 
 def _cmd_simulate(args):
     empirical = simulate(_simulation_config(args))
-    return _simulation_echo(args), empirical.to_json_dict(), empirical.to_csv_rows()
+    return _simulation_echo(args), empirical.to_json_dict(), empirical.to_csv_rows
 
 
 def _cmd_compare(args):
@@ -358,13 +368,9 @@ def _cmd_compare(args):
         "degrees_of_freedom",
         "max_abs_deviation",
     ]
-    row = [
-        report.total_variation_distance,
-        report.chi_square_statistic,
-        report.degrees_of_freedom,
-        report.max_abs_deviation,
-    ]
-    return _simulation_echo(args), payload, (header, [row])
+    return _simulation_echo(args), payload, lambda: (
+        header, [[getattr(report, name) for name in header]]
+    )
 
 
 def _cmd_plan(args):
@@ -392,15 +398,14 @@ def _cmd_plan(args):
     achieved = payload["achieved"]
     header = ["k", "achieved_num", "achieved_den", "achieved_approx",
               "verified_at_k_minus_1", "cap_exceeded"]
-    row = [
+    return echo, payload, lambda: (header, [[
         result.k,
         achieved["num"],
         achieved["den"],
         achieved["approx"],
         result.verified_at_k_minus_1,
         result.cap_exceeded,
-    ]
-    return echo, payload, (header, [row])
+    ]])
 
 
 _HANDLERS = {
@@ -419,8 +424,10 @@ _HANDLERS = {
 
 
 def _emit(command: str, echo: dict, result: dict, csv_table, output_format: str):
+    """Print the JSON envelope, or the CSV table: ``csv_table`` is a
+    zero-argument callable returning (header, rows), called only for CSV."""
     if output_format == "csv":
-        header, rows = csv_table
+        header, rows = csv_table()
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

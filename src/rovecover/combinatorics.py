@@ -35,8 +35,31 @@ def _validate_stirling_args(n: int, k: int) -> None:
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks.
 
-    Computed by the triangle recurrence S(n,k) = k*S(n-1,k) + S(n-1,k-1),
-    iteratively so deep inputs cannot blow the stack. Returns 0 for k > n.
+    Computed by the explicit sum S(n,k) = sum_{j=0..k} (-1)^j C(k,j) (k-j)^n / k!:
+    k + 1 powers and one division, O(k) big-integer operations in all. The
+    integer sum is accumulated first and only then divided by k!; the
+    division is checked to be exact, which would catch any cancellation bug
+    in the summation. Returns 0 for k > n.
+    """
+    _validate_stirling_args(n, k)
+    if k > n:
+        return 0
+    total = 0
+    for j in range(k + 1):
+        term = math.comb(k, j) * (k - j) ** n
+        total += -term if j & 1 else term
+    quotient, remainder = divmod(total, math.factorial(k))
+    if remainder:
+        raise ArithmeticError(
+            f"alternating sum for stirling2({n}, {k}) is not divisible by {k}!"
+        )
+    return quotient
+
+
+def stirling2_triangle(n: int, k: int) -> int:
+    """Same value as :func:`stirling2`, by the triangle recurrence
+    S(n,k) = k*S(n-1,k) + S(n-1,k-1); O(n*k) operations, cross-check oracle
+    only. Iterative, so deep inputs cannot blow the stack.
     """
     _validate_stirling_args(n, k)
     if k > n:
@@ -49,26 +72,6 @@ def stirling2(n: int, k: int) -> int:
             row[j] = j * row[j] + row[j - 1]
         row[0] = 0
     return row[k]
-
-
-def stirling2_alternating(n: int, k: int) -> int:
-    """Same value as :func:`stirling2`, via the alternating binomial sum.
-
-    The integer sum sum_{j=0..k} (-1)^j C(k,j) (k-j)^n is accumulated first
-    and only then divided by k!; the division is checked to be exact, which
-    would catch any cancellation bug in the summation.
-    """
-    _validate_stirling_args(n, k)
-    total = 0
-    for j in range(k + 1):
-        term = math.comb(k, j) * (k - j) ** n
-        total += -term if j & 1 else term
-    quotient, remainder = divmod(total, math.factorial(k))
-    if remainder:
-        raise ArithmeticError(
-            f"alternating sum for stirling2({n}, {k}) is not divisible by {k}!"
-        )
-    return quotient
 
 
 def rational_to_json(value: Fraction) -> dict:

@@ -23,7 +23,6 @@ from .subset_scheme import (
     make_distribution,
     nested_pmf_terms,
     q_count,
-    support_bounds,
 )
 
 DEFAULT_OUTCOME_BUDGET = 10**7
@@ -48,25 +47,17 @@ class OracleResult:
 
     def to_distribution(self) -> CoverageDistribution:
         """Counts normalized by the total, over the scheme's full support."""
-        lo, hi = support_bounds(self.params, self.scheme_tag)
-        values = {
-            t: Fraction(self.union_size_counts.get(t, 0), self.total_outcomes)
-            for t in range(lo, hi + 1)
-        }
-        return make_distribution(self.params, self.scheme_tag, values)
+        return make_distribution(
+            self.params, self.scheme_tag, self.union_size_counts, self.total_outcomes
+        )
 
     def conditional_distribution(self) -> CoverageDistribution:
         """Distribution conditioned on per-stage distinctness; its support is
         the subset scheme's, which is the point of the comparison."""
         if self.conditional_distinct_counts is None:
             raise ValueError("conditional counts exist only for the multinomial scheme")
-        total = sum(self.conditional_distinct_counts.values())
-        lo, hi = support_bounds(self.params, SCHEME_SUBSET)
-        values = {
-            t: Fraction(self.conditional_distinct_counts.get(t, 0), total)
-            for t in range(lo, hi + 1)
-        }
-        return make_distribution(self.params, SCHEME_SUBSET, values)
+        counts = self.conditional_distinct_counts
+        return make_distribution(self.params, SCHEME_SUBSET, counts, sum(counts.values()))
 
     def to_json_dict(self) -> dict:
         result = {

@@ -58,13 +58,8 @@ def r_via_stirling(k: int, m: int, t: int) -> int:
 def multinomial_coverage_pmf(params: Params) -> CoverageDistribution:
     """Exact distribution of the distinct-node count over all n^(mk) equally
     likely node sequences; support starts at t = 1 because a stage may
-    collapse onto a single node. The covered-count chain takes m single
-    drops per stage: with c nodes covered, a drop keeps the count in c of
-    its n ways and raises it by one in the other n - c."""
-    n, m, k = params.n, params.m, params.k
-    return _chain_distribution(
-        params, SCHEME_MULTINOMIAL, m * k, lambda c: ((c, c), (c + 1, n - c)), n ** (m * k)
-    )
+    collapse onto a single node."""
+    return _chain_distribution(params, SCHEME_MULTINOMIAL)
 
 
 def repetition_mean(n: int, m: int) -> Fraction:

@@ -114,16 +114,19 @@ class CoverageDistribution:
 
 
 def make_distribution(
-    params: Params, scheme_tag: str, values: Mapping[int, Fraction]
+    params: Params, scheme_tag: str, counts: Mapping[int, int], outcomes: int
 ) -> CoverageDistribution:
-    """Assemble a distribution, verifying exact normalization."""
+    """Distribution of ``counts[t]`` out of ``outcomes`` equally likely
+    outcomes over the scheme's support (a missing t counts 0). The integer
+    counts must sum to exactly ``outcomes`` before any Fraction is built."""
     lo, hi = support_bounds(params, scheme_tag)
-    pmf = {t: values[t] for t in range(lo, hi + 1)}
-    total = sum(pmf.values(), Fraction(0))
-    if total != 1:
+    support = range(lo, hi + 1)
+    total = sum(counts.get(t, 0) for t in support)
+    if total != outcomes:
         raise ArithmeticError(
-            f"pmf for {params} ({scheme_tag}) sums to {total}, expected 1"
+            f"counts for {params} ({scheme_tag}) sum to {total}, expected {outcomes}"
         )
+    pmf = {t: Fraction(counts.get(t, 0), outcomes) for t in support}
     # Freeze the mapping too, so no caller can change a returned result.
     return CoverageDistribution(params, scheme_tag, lo, hi, MappingProxyType(pmf))
 
@@ -142,42 +145,47 @@ def q_count(k: int, m: int, t: int) -> int:
     return total
 
 
-def _chain_distribution(
-    params: Params, scheme_tag: str, steps: int, moves, outcomes: int
-) -> CoverageDistribution:
-    """Distribution of the covered-node count after ``steps`` steps of the
-    covered-count chain (Stadje, Adv. Appl. Prob. 22, 1990), starting with
-    no node covered, out of ``outcomes`` equally likely outcomes.
-    ``moves(c)`` lists the (next count, number of ways) pairs of one step
-    from c. Every term is a nonnegative count, so nothing cancels."""
-    # Every step has the same moves: one row per covered count, <= n + 1 rows.
-    table: dict[int, list[tuple[int, int]]] = {}
-    counts = {0: 1}
-    for _ in range(steps):
-        advanced: dict[int, int] = {}
-        for covered, ways in counts.items():
-            row = table.get(covered)
-            if row is None:
-                row = table[covered] = [(c, w) for c, w in moves(covered) if w]
-            for nxt, weight in row:
-                advanced[nxt] = advanced.get(nxt, 0) + ways * weight
-        counts = advanced
-    values = {t: Fraction(count, outcomes) for t, count in counts.items()}
-    return make_distribution(params, scheme_tag, values)
+def _chain_distribution(params: Params, scheme_tag: str) -> CoverageDistribution:
+    """Distribution of the covered-node count by the covered-count chain
+    (Stadje, Adv. Appl. Prob. 22, 1990), run on numbers that do not depend
+    on n. ``cover[c]`` counts the outcomes so far whose visited set is
+    exactly one fixed c-node set; there are C(n, t) such sets of size t, so
+    C(n, t) * cover[t] outcomes cover t nodes. After the last step
+    ``cover[t]`` is q_count(k, m, t) (subset) or t! * S(mk, t) = r_count(k,
+    m, t) (multinomial). Every term is a nonnegative count, so nothing
+    cancels, and entries above c = n are never needed."""
+    n, m, k = params.n, params.m, params.k
+    cover = [1]
+    if scheme_tag == SCHEME_SUBSET:
+        # One step per agent: its m-subset adds d new nodes to the c - d
+        # already covered, in C(c, m) * C(m, d) ways. Convolving with the
+        # row C(m, d) is m passes of Pascal's rule, additions only.
+        fits = [math.comb(c, m) for c in range(min(k * m, n) + 1)]
+        for _ in range(k):
+            for _ in range(m):
+                shifted = [0, *cover]
+                if len(cover) <= n:
+                    cover.append(0)
+                cover = [a + b for a, b in zip(cover, shifted)]
+            cover = [fit * ways for fit, ways in zip(fits, cover)]
+        outcomes = math.comb(n, m) ** k
+    else:
+        # One step per drop: it lands on one of the c nodes already visited
+        # (c * cover[c]) or is the first visit to any one of the c, the
+        # other c - 1 visited before (c * cover[c - 1]).
+        for _ in range(m * k):
+            if len(cover) <= n:
+                cover.append(0)
+            cover = [0] + [c * (cover[c] + cover[c - 1]) for c in range(1, len(cover))]
+        outcomes = n ** (m * k)
+    counts = {t: math.comb(n, t) * ways for t, ways in enumerate(cover) if ways}
+    return make_distribution(params, scheme_tag, counts, outcomes)
 
 
 def coverage_pmf(params: Params) -> CoverageDistribution:
-    """Exact distribution of the union size under the subset scheme. The
-    covered-count chain takes one step per agent: with c nodes covered, an
-    agent whose subset overlaps them in j nodes moves the count to
-    c + m - j in C(c, j) * C(n - c, m - j) of its C(n, m) ways."""
-    n, m, k = params.n, params.m, params.k
-
-    def moves(c):
-        return [(c + m - j, math.comb(c, j) * math.comb(n - c, m - j))
-                for j in range(max(0, m - (n - c)), min(c, m) + 1)]
-
-    return _chain_distribution(params, SCHEME_SUBSET, k, moves, binomial(n, m) ** k)
+    """Exact distribution of the union size under the subset scheme, over
+    all C(n, m)^k equally likely ordered subset collections."""
+    return _chain_distribution(params, SCHEME_SUBSET)
 
 
 def miss_ratio(scheme_tag: str, n: int, m: int) -> Fraction:
@@ -228,6 +236,21 @@ def _nested_numerator(n: int, m: int, k: int, t: int) -> int:
     return total
 
 
+def _nested_numerators(params: Params, term_budget: int | None) -> dict[int, int]:
+    """Per-t numerators of the nested formula over C(n, m)^(k-1), within budget."""
+    budget = DEFAULT_NESTED_TERM_BUDGET if term_budget is None else term_budget
+    required = nested_term_count(params)
+    if required > budget:
+        raise BudgetExceeded(
+            f"nested evaluation needs {required} summands, budget is {budget}",
+            required=required,
+            budget=budget,
+        )
+    n, m, k = params.n, params.m, params.k
+    lo, hi = support_bounds(params, SCHEME_SUBSET)
+    return {t: _nested_numerator(n, m, k, t) for t in range(lo, hi + 1)}
+
+
 def nested_pmf_terms(
     params: Params, term_budget: int | None = None
 ) -> dict[int, Fraction]:
@@ -240,26 +263,15 @@ def nested_pmf_terms(
     refused beyond ``term_budget`` total summands. No normalization check
     is applied here: this is the raw cross-check quantity.
     """
-    budget = DEFAULT_NESTED_TERM_BUDGET if term_budget is None else term_budget
-    required = nested_term_count(params)
-    if required > budget:
-        raise BudgetExceeded(
-            f"nested evaluation needs {required} summands, budget is {budget}",
-            required=required,
-            budget=budget,
-        )
-    n, m, k = params.n, params.m, params.k
-    denominator = binomial(n, m) ** (k - 1)
-    lo, hi = support_bounds(params, SCHEME_SUBSET)
-    return {
-        t: Fraction(_nested_numerator(n, m, k, t), denominator)
-        for t in range(lo, hi + 1)
-    }
+    numerators = _nested_numerators(params, term_budget)
+    denominator = binomial(params.n, params.m) ** (params.k - 1)
+    return {t: Fraction(num, denominator) for t, num in numerators.items()}
 
 
 def coverage_pmf_nested(
     params: Params, term_budget: int | None = None
 ) -> CoverageDistribution:
     """Coverage distribution via the nested formula; cross-check oracle only."""
-    values = nested_pmf_terms(params, term_budget)
-    return make_distribution(params, SCHEME_SUBSET, values)
+    numerators = _nested_numerators(params, term_budget)
+    outcomes = binomial(params.n, params.m) ** (params.k - 1)
+    return make_distribution(params, SCHEME_SUBSET, numerators, outcomes)

@@ -36,6 +36,7 @@ from rovecover.subset_scheme import (
     nested_pmf_terms,
     tail_probability,
 )
+from test_cli import cli_env
 
 
 def subset_grid(n_max, m_max, k_max):
@@ -196,8 +197,8 @@ def test_criterion_11_simulate_determinism():
             "--scheme", "multinomial", "--n", "30", "--m", "3", "--k", "3",
             "--trials", "100000", "--seed", "42", "--workers", workers,
         ]
-        first = subprocess.run(argv, capture_output=True, text=True)
-        second = subprocess.run(argv, capture_output=True, text=True)
+        first = subprocess.run(argv, capture_output=True, text=True, env=cli_env())
+        second = subprocess.run(argv, capture_output=True, text=True, env=cli_env())
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout, f"workers={workers}"
         outputs[workers] = first.stdout

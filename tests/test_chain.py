@@ -1,9 +1,11 @@
 """The covered-count chain behind both exact PMFs, checked against the
 inclusion-exclusion closed forms, exhaustive enumeration and the closed-form
-mean on small random triples."""
+mean on small random triples, and against the closed forms at the sizes the
+benchmark runs, on both sides of k * m = n."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -71,3 +73,21 @@ def test_closed_form_mean_equals_pmf_mean(params, scheme):
         assert mean_coverage(params) == pmf_mean
     miss = miss_ratio(scheme, params.n, params.m)
     assert params.n * (1 - miss**params.k) == pmf_mean
+
+
+@pytest.mark.parametrize(
+    "n,m,k", [(120, 30, 6), (300, 40, 6), (300, 50, 6), (350, 5, 50)]
+)
+@pytest.mark.parametrize("scheme", ["subset", "multinomial"])
+def test_chain_counts_at_benchmark_sizes(n, m, k, scheme):
+    # k * m is above n, below n and equal to n; the counts C(n, t) * q_count
+    # and C(n, t) * r_count = C(n, t) * t! * S(mk, t) are compared as integers.
+    params = Params(n, m, k)
+    if scheme == "subset":
+        lo, count, outcomes = m, q_count, binomial(n, m) ** k
+    else:
+        lo, count, outcomes = 1, r_count, n ** (m * k)
+    dist = chain_pmf(scheme, params)
+    assert (dist.support_lo, dist.support_hi) == (lo, min(k * m, n))
+    for t in range(lo, min(k * m, n) + 1):
+        assert dist.pmf[t] * outcomes == binomial(n, t) * count(k, m, t), t

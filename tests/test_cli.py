@@ -13,11 +13,15 @@ from rovecover.combinatorics import rational_from_json
 from rovecover.subset_scheme import Params, coverage_pmf
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def cli_env(**overrides):
     """Environment for a CLI child process: the caller's own (so PYTHONPATH
-    and the like still reach it) without any ambient budget, plus the
-    test's overrides."""
+    and the like still reach it) with this checkout's ``src`` first on
+    PYTHONPATH, without any ambient budget, plus the test's overrides."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.pop("ROVE_COVER_BUDGET", None)
     env.update(overrides)
     return env

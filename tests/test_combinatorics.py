@@ -12,7 +12,7 @@ from rovecover.combinatorics import (
     rational_from_json,
     rational_to_json,
     stirling2,
-    stirling2_alternating,
+    stirling2_triangle,
 )
 
 
@@ -101,19 +101,27 @@ class TestStirling2:
 
     def test_zero_above_diagonal(self):
         assert stirling2(3, 5) == 0
-        assert stirling2_alternating(3, 5) == 0
+        assert stirling2_triangle(3, 5) == 0
 
     def test_invalid_arguments(self):
         for bad in [(0, 1), (1, 0), (-2, 3)]:
             with pytest.raises(ValueError):
                 stirling2(*bad)
             with pytest.raises(ValueError):
-                stirling2_alternating(*bad)
+                stirling2_triangle(*bad)
 
-    def test_both_routes_agree_to_25(self):
-        for n in range(1, 26):
-            for k in range(1, n + 1):
-                assert stirling2(n, k) == stirling2_alternating(n, k), (n, k)
+    def test_both_routes_agree_to_60(self):
+        # Every K from 1 to N, and K = N + 1, N + 2 above the diagonal.
+        for n in range(1, 61):
+            for k in range(1, n + 3):
+                assert stirling2(n, k) == stirling2_triangle(n, k), (n, k)
+
+    def test_both_routes_agree_at_3000_40(self):
+        # S(3000, 40) has more than 4300 decimal digits, so the two routes
+        # are compared as integers and the value is never turned into a str.
+        value = stirling2(3000, 40)
+        assert value == stirling2_triangle(3000, 40)
+        assert value > 10**4300
 
     def test_row_sum_identity(self):
         # sum_k S(n,k) * x_(falling k) == x^n

@@ -12,6 +12,7 @@ from rovecover.subset_scheme import (
     Params,
     coverage_pmf,
     coverage_pmf_nested,
+    make_distribution,
     mean_coverage,
     nested_pmf_terms,
     nested_term_count,
@@ -139,6 +140,18 @@ class TestCoveragePmf:
         assert dist.scheme_tag == "subset"
         assert dist.support_lo == 2
         assert dist.support_hi == 6
+
+    def test_perturbed_count_rejected(self):
+        # The counts of (4, 2, 2) out of 36 outcomes: 6, 24, 6.
+        params = Params(4, 2, 2)
+        assert make_distribution(params, "subset", {2: 6, 3: 24, 4: 6}, 36).pmf == {
+            2: Fraction(1, 6), 3: Fraction(2, 3), 4: Fraction(1, 6)
+        }
+        # One count off, one missing, and one moved outside the support (t = 1).
+        for counts in ({2: 6, 3: 25, 4: 6}, {2: 6, 3: 24, 4: 5}, {2: 6, 3: 24},
+                       {1: 6, 3: 24, 4: 6}):
+            with pytest.raises(ArithmeticError):
+                make_distribution(params, "subset", counts, 36)
 
 
 class TestMeanCoverage:
