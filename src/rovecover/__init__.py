@@ -22,14 +22,6 @@ from .enumeration import (
     enumerate_subset_scheme,
 )
 from .errors import BudgetExceeded
-from .monte_carlo import (
-    ComparisonReport,
-    EmpiricalDistribution,
-    SimulationConfig,
-    compare,
-    simulate,
-    subset_frequency_histogram,
-)
 from .multinomial_scheme import (
     BoundReport,
     Theorem2Report,
@@ -58,6 +50,31 @@ from .subset_scheme import (
 )
 
 __version__ = "0.1.0"
+
+# The sampling names live in monte_carlo, which needs numpy; they are
+# imported on first use (PEP 562), so the exact API starts without numpy.
+_SAMPLING_NAMES = frozenset({
+    "ComparisonReport",
+    "EmpiricalDistribution",
+    "SimulationConfig",
+    "compare",
+    "simulate",
+    "subset_frequency_histogram",
+})
+
+
+def __getattr__(name):
+    if name not in _SAMPLING_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import monte_carlo
+
+    value = getattr(monte_carlo, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SAMPLING_NAMES)
 
 __all__ = [
     "BoundReport",

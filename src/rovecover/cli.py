@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .combinatorics import rational_to_json, stirling2
 from .enumeration import (
@@ -21,7 +22,6 @@ from .enumeration import (
     enumerate_subset_scheme,
 )
 from .errors import BudgetExceeded
-from .monte_carlo import SimulationConfig, compare, simulate
 from .multinomial_scheme import (
     markov_repetition_bound,
     multinomial_coverage_pmf,
@@ -36,6 +36,9 @@ from .subset_scheme import (
     mean_coverage,
     tail_probability,
 )
+
+if TYPE_CHECKING:
+    from .monte_carlo import SimulationConfig
 
 FORMAT_VERSION = "1.0.0"
 BUDGET_ENV_VAR = "ROVE_COVER_BUDGET"
@@ -322,7 +325,11 @@ def _cmd_enumerate(args):
     )
 
 
+# The sampling handlers import monte_carlo (and so numpy) when they run, so
+# the exact commands never load it.
 def _simulation_config(args) -> SimulationConfig:
+    from .monte_carlo import SimulationConfig
+
     return SimulationConfig(
         params=Params(args.n, args.m, args.k),
         trials=args.trials,
@@ -345,11 +352,15 @@ def _simulation_echo(args) -> dict:
 
 
 def _cmd_simulate(args):
+    from .monte_carlo import simulate
+
     empirical = simulate(_simulation_config(args))
     return _simulation_echo(args), empirical.to_json_dict(), empirical.to_csv_rows
 
 
 def _cmd_compare(args):
+    from .monte_carlo import compare, simulate
+
     config = _simulation_config(args)
     empirical = simulate(config)
     exact = (

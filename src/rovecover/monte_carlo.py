@@ -155,11 +155,11 @@ def _draw_subset_stage_nodes(
     continuing on the permuted array between stages (a partial shuffle of
     any fixed arrangement is uniform, and the fresh draws are independent
     of the carried-over state). The large-n path interprets the same draw
-    layout with Floyd's algorithm, trial by trial.
+    layout with Floyd's algorithm, as numpy steps over the whole block.
     """
     gen = _block_generator(seed, block_index)
-    nodes = np.empty((count, k, m), dtype=np.int64)
     if n <= _PARTIAL_SHUFFLE_MAX_N:
+        nodes = np.empty((count, k, m), dtype=np.int64)
         lows = np.tile(np.arange(m), k)
         draws = gen.integers(low=lows, high=n, size=(count, m * k))
         arr = np.tile(np.arange(n), (count, 1))
@@ -174,15 +174,28 @@ def _draw_subset_stage_nodes(
         return nodes
     # Floyd: draw j of a stage is uniform on [0, n-m+j]; a collision with the
     # already-chosen set inserts the previously unreachable value n-m+j.
+    # Every draw ends up in the set, so draw j collides exactly when it
+    # repeats an earlier draw of its stage, or equals n-m+i for an earlier
+    # colliding draw i. A stable sort of each stage's draws finds the
+    # repeats; the second rule only points back, so it is applied until
+    # nothing changes (one or two passes for almost every block).
     highs = np.tile(np.arange(n - m + 1, n + 1), k)
-    draws = gen.integers(low=0, high=highs, size=(count, m * k)).tolist()
-    for trial, row in enumerate(draws):
-        for stage in range(k):
-            chosen: set[int] = set()
-            for j in range(m):
-                r = row[stage * m + j]
-                chosen.add(n - m + j if r in chosen else r)
-            nodes[trial, stage, :] = sorted(chosen)
+    draws = gen.integers(low=0, high=highs, size=(count, m * k)).reshape(count, k, m)
+    step = np.arange(m)
+    order = np.argsort(draws, axis=2, kind="stable")
+    ranked = np.take_along_axis(draws, order, axis=2)
+    hit = np.zeros(draws.shape, dtype=bool)
+    np.put_along_axis(hit, order[..., 1:], ranked[..., 1:] == ranked[..., :-1], axis=2)
+    inserted_at = draws - (n - m)
+    reaches_back = (inserted_at >= 0) & (inserted_at < step)
+    inserted_at[~reaches_back] = 0
+    while True:
+        grown = hit | (reaches_back & np.take_along_axis(hit, inserted_at, axis=2))
+        if np.array_equal(grown, hit):
+            break
+        hit = grown
+    nodes = np.where(hit, n - m + step, draws)
+    nodes.sort(axis=2)
     return nodes
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -51,13 +51,18 @@ def support_bounds(params: Params, scheme_tag: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CoverageDistribution:
-    """Exact PMF of the covered-node count t over its full support range."""
+    """Exact PMF of the covered-node count t over its full support range.
+
+    ``outcomes`` is a common denominator of every pmf value: the number of
+    equally likely outcomes the counts were taken over. Sums over the PMF
+    run on integer numerators over it, with one reduction at the end."""
 
     params: Params
     scheme_tag: str
     support_lo: int
     support_hi: int
     pmf: Mapping[int, Fraction]
+    outcomes: int = field(compare=False)
 
     def __post_init__(self):
         if self.scheme_tag not in _SCHEMES:
@@ -72,6 +77,8 @@ class CoverageDistribution:
             raise ValueError("pmf keys must cover every t in the support range")
         if any(p < 0 for p in self.pmf.values()):
             raise ValueError("pmf values must be nonnegative")
+        if self.outcomes < 1 or any(self.outcomes % p.denominator for p in self.pmf.values()):
+            raise ValueError("outcomes must be a common denominator of the pmf values")
 
     def probability(self, t: int) -> Fraction:
         """pmf(t), zero outside the support."""
@@ -80,17 +87,21 @@ class CoverageDistribution:
     def total(self) -> Fraction:
         return sum(self.pmf.values(), Fraction(0))
 
+    def _count(self, t: int) -> int:
+        """pmf(t) * outcomes, an integer."""
+        p = self.pmf[t]
+        return p.numerator * (self.outcomes // p.denominator)
+
     def mean(self) -> Fraction:
         """Exact expectation sum_t t * pmf(t)."""
-        return sum((t * p for t, p in self.pmf.items()), Fraction(0))
+        return Fraction(sum(t * self._count(t) for t in self.pmf), self.outcomes)
 
     def tail(self, tau: int) -> Fraction:
         """Pr(t >= tau); 1 below the support, 0 above it."""
         if tau <= self.support_lo:
             return Fraction(1)
-        return sum(
-            (p for t, p in self.pmf.items() if t >= tau), Fraction(0)
-        )
+        ts = range(tau, self.support_hi + 1)
+        return Fraction(sum(self._count(t) for t in ts), self.outcomes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,7 +139,7 @@ def make_distribution(
         )
     pmf = {t: Fraction(counts.get(t, 0), outcomes) for t in support}
     # Freeze the mapping too, so no caller can change a returned result.
-    return CoverageDistribution(params, scheme_tag, lo, hi, MappingProxyType(pmf))
+    return CoverageDistribution(params, scheme_tag, lo, hi, MappingProxyType(pmf), outcomes)
 
 
 def q_count(k: int, m: int, t: int) -> int:

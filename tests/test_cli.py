@@ -297,3 +297,50 @@ class TestSimulationCommands:
         assert result["nested_vs_closed_agree"] is True
         assert result["discrepancies"] == []
         assert result["enumeration_agrees_closed"] is True
+
+
+EXACT_ONLY_SCRIPT = """
+import contextlib, io, sys
+import rovecover, rovecover.cli
+argvs = [
+    "dist --n 6 --m 2 --k 3",
+    "mean --n 10 --m 3 --k 2",
+    "tail --n 20 --m 3 --k 5 --tau 12",
+    "bounds --n 100 --m 5 --k 3",
+    "theorem2 --n 6 --m 2 --k 2",
+    "stirling --N 12 --K 5",
+    "crosscheck --n 6 --m 2 --k 4",
+    "enumerate --scheme multinomial --n 4 --m 2 --k 2",
+    "plan --n 10 --m 3 --alpha 9/10",
+    "plan --n 4 --m 2 --tau 4 --p 1/6",
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [rovecover.cli.main(argv.split()) for argv in argvs]
+assert codes == [0] * len(argvs), codes
+assert "numpy" not in sys.modules
+assert "rovecover.monte_carlo" not in sys.modules
+assert set(rovecover.__all__) <= set(dir(rovecover))
+assert rovecover.simulate.__module__ == "rovecover.monte_carlo"
+from rovecover import SimulationConfig
+assert SimulationConfig is sys.modules["rovecover.monte_carlo"].SimulationConfig
+try:
+    rovecover.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("rovecover.no_such_name resolved")
+print("ok")
+"""
+
+
+def test_exact_commands_run_without_numpy():
+    # Only simulate, compare and the sampling API load monte_carlo (and
+    # numpy); every exact subcommand runs in a process that never imports it.
+    proc = subprocess.run(
+        [sys.executable, "-c", EXACT_ONLY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

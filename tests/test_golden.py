@@ -2,9 +2,11 @@
 
 Each file in ``tests/golden`` holds the stdout of ``rovecover <argv>`` for
 the entry of the same name below, recorded before the inclusion-exclusion
-PMF builders were replaced by the covered-count chain. Any change to an
-exact value, to the JSON/CSV layout or to a seeded simulation shows up
-here as a byte difference.
+PMF builders were replaced by the covered-count chain; the ``simulate_floyd``
+entries (n above the partial-shuffle cutoff) were recorded before the
+Floyd sampler ran vectorized over the block. Any change to an exact value,
+to the JSON/CSV layout or to a seeded simulation shows up here as a byte
+difference.
 """
 
 import os
@@ -50,6 +52,12 @@ GOLDEN = {
     "compare_multinomial_csv": (
         "compare --scheme multinomial --n 6 --m 2 --k 3 --trials 1000 --seed 3 --format csv",
         0),
+    "simulate_floyd_workers1": (
+        "simulate --n 5000 --m 4 --k 3 --trials 9000 --seed 12 --workers 1", 0),
+    "simulate_floyd_workers2": (
+        "simulate --n 5000 --m 4 --k 3 --trials 9000 --seed 12 --workers 2", 0),
+    "simulate_floyd_spread_csv": (
+        "simulate --n 3000 --m 30 --k 4 --trials 5000 --seed 5 --format csv", 0),
     "stirling": ("stirling --N 12 --K 5", 0),
     "stirling_csv": ("stirling --N 30 --K 7 --format csv", 0),
     "bounds": ("bounds --n 100 --m 5 --k 3", 0),

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from rovecover import monte_carlo
 from rovecover.monte_carlo import (
     ComparisonReport,
     EmpiricalDistribution,
@@ -127,6 +129,50 @@ class TestSubsetSimulation:
         emp = simulate(config(4, 2, 2, trials=200_000, seed=33))
         report = compare(emp, coverage_pmf(params))
         assert report.total_variation_distance <= 0.01
+
+
+def reference_floyd_nodes(n, m, k, seed, block_index, count):
+    """Floyd's sampler one trial and one stage at a time, on the block's
+    own draws: the loop the vectorized path must reproduce node for node."""
+    gen = monte_carlo._block_generator(seed, block_index)
+    highs = np.tile(np.arange(n - m + 1, n + 1), k)
+    draws = gen.integers(low=0, high=highs, size=(count, m * k)).tolist()
+    nodes = np.empty((count, k, m), dtype=np.int64)
+    for trial, row in enumerate(draws):
+        for stage in range(k):
+            chosen = set()
+            for j in range(m):
+                r = row[stage * m + j]
+                chosen.add(n - m + j if r in chosen else r)
+            nodes[trial, stage, :] = sorted(chosen)
+    return nodes
+
+
+class TestFloydMatchesReference:
+    @pytest.mark.parametrize("n, m, k, seed, block_index, count", [
+        (1, 1, 1, 0, 0, 1),
+        (1, 1, 3, 5, 2, 50),
+        (7, 1, 4, 11, 0, 300),
+        (7, 7, 3, 11, 1, 300),
+        (12, 12, 2, 2**64 - 1, 9, 500),
+        (9, 4, 3, 2**64 - 1, 0, 1),
+        (10, 6, 5, 3, 4, 4096),
+        (30, 25, 2, 17, 0, 2000),
+        (50, 3, 6, 99, 7, 1000),
+    ])
+    def test_same_nodes_as_per_trial_loop(
+        self, monkeypatch, n, m, k, seed, block_index, count
+    ):
+        monkeypatch.setattr(monte_carlo, "_PARTIAL_SHUFFLE_MAX_N", 0)
+        got = monte_carlo._draw_subset_stage_nodes(n, m, k, seed, block_index, count)
+        want = reference_floyd_nodes(n, m, k, seed, block_index, count)
+        assert got.shape == (count, k, m)
+        assert np.array_equal(got, want)
+
+    def test_same_nodes_above_the_cutoff(self):
+        args = (2100, 40, 3, 6, 1, 700)
+        got = monte_carlo._draw_subset_stage_nodes(*args)
+        assert np.array_equal(got, reference_floyd_nodes(*args))
 
 
 class TestUniformSubsetSampling:

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rovecover.combinatorics import binomial
+from rovecover.enumeration import enumerate_multinomial_scheme, enumerate_subset_scheme
 from rovecover.errors import BudgetExceeded
+from rovecover.multinomial_scheme import multinomial_coverage_pmf
 from rovecover.subset_scheme import (
     CoverageDistribution,
     Params,
@@ -232,3 +234,51 @@ class TestNestedFormula:
         dist = coverage_pmf_nested(Params(5, 2, 4))
         assert isinstance(dist, CoverageDistribution)
         assert dist.total() == 1
+
+
+def fraction_sum_tail(dist, tau):
+    """Pr(t >= tau) as a plain running sum of the PMF's Fractions."""
+    if tau <= dist.support_lo:
+        return Fraction(1)
+    return sum((p for t, p in dist.pmf.items() if t >= tau), Fraction(0))
+
+
+def fraction_sum_mean(dist):
+    return sum((t * p for t, p in dist.pmf.items()), Fraction(0))
+
+
+INTEGER_SUM_CASES = {
+    "subset_chain": lambda: coverage_pmf(Params(40, 7, 9)),
+    "subset_chain_m_eq_n": lambda: coverage_pmf(Params(5, 5, 3)),
+    "multinomial_chain": lambda: multinomial_coverage_pmf(Params(30, 4, 6)),
+    "subset_enumeration": lambda: enumerate_subset_scheme(Params(5, 2, 3)).to_distribution(),
+    "multinomial_enumeration":
+        lambda: enumerate_multinomial_scheme(Params(4, 2, 3)).to_distribution(),
+    "multinomial_conditional":
+        lambda: enumerate_multinomial_scheme(Params(4, 2, 3)).conditional_distribution(),
+    "nested": lambda: coverage_pmf_nested(Params(7, 2, 5)),
+}
+
+
+class TestIntegerSums:
+    @pytest.mark.parametrize("name", sorted(INTEGER_SUM_CASES))
+    def test_tail_and_mean_equal_fraction_sums(self, name):
+        dist = INTEGER_SUM_CASES[name]()
+        assert dist.mean() == fraction_sum_mean(dist)
+        for tau in range(dist.support_lo - 2, dist.support_hi + 3):
+            assert dist.tail(tau) == fraction_sum_tail(dist, tau), tau
+
+    def test_outcomes_do_not_affect_equality(self):
+        params = Params(7, 2, 5)
+        nested, chain = coverage_pmf_nested(params), coverage_pmf(params)
+        assert nested.outcomes * binomial(7, 2) == chain.outcomes
+        assert nested == chain
+
+    @pytest.mark.parametrize("outcomes", [0, 35])
+    def test_outcomes_must_be_a_common_denominator(self, outcomes):
+        dist = coverage_pmf(Params(4, 2, 2))
+        with pytest.raises(ValueError, match="common denominator"):
+            CoverageDistribution(
+                dist.params, dist.scheme_tag, dist.support_lo, dist.support_hi,
+                dist.pmf, outcomes,
+            )
