@@ -13,9 +13,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .combinatorics import rational_to_json, stirling2
+# rational_to_json is not called here; perfbench's tracer wraps it by this name.
+from .combinatorics import ScalarResult, rational_to_json, stirling2  # noqa: F401
 from .enumeration import (
     crosscheck,
     enumerate_multinomial_scheme,
@@ -36,9 +36,6 @@ from .subset_scheme import (
     mean_coverage,
     tail_probability,
 )
-
-if TYPE_CHECKING:
-    from .monte_carlo import SimulationConfig
 
 FORMAT_VERSION = "1.0.0"
 BUDGET_ENV_VAR = "ROVE_COVER_BUDGET"
@@ -75,317 +72,61 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _budget_from_env() -> int | None:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _CliError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise _CliError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
-    return value
-
-
 def _effective_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
+    """--budget, else the environment's budget, else None (the library's)."""
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if args.budget is not None or raw is None:
         return args.budget
-    return _budget_from_env()
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError:
+        raise _CliError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
 
 
-def _add_params_flags(parser, with_k=True):
-    parser.add_argument("--n", type=int, required=True, help="node count")
-    parser.add_argument("--m", type=int, required=True, help="nodes visited per agent")
-    if with_k:
-        parser.add_argument("--k", type=int, required=True, help="agent count")
+def _params(args) -> Params:
+    return Params(args.n, args.m, args.k)
 
 
-def _add_scheme_flag(parser):
-    parser.add_argument(
-        "--scheme",
-        choices=[SCHEME_SUBSET, SCHEME_MULTINOMIAL],
-        default=SCHEME_SUBSET,
-        help="allocation scheme (default: subset)",
-    )
+def _pmf(args):
+    if args.scheme == SCHEME_SUBSET:
+        return coverage_pmf(_params(args))
+    return multinomial_coverage_pmf(_params(args))
 
 
-def _add_format_flag(parser):
-    parser.add_argument(
-        "--format",
-        choices=["json", "csv"],
-        default="json",
-        dest="output_format",
-        help="output format (default: json)",
-    )
+def _dist(args):
+    dist = _pmf(args)
+    if args.t is None:
+        return dist
+    return ScalarResult("probability", dist.probability(args.t), {"t": args.t},
+                        context={"scheme": args.scheme})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rovecover", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", help="exact coverage PMF")
-    _add_params_flags(p)
-    _add_scheme_flag(p)
-    p.add_argument(
-        "--t", type=int, dest="point_t",
-        help="report only pmf(t) instead of the whole table",
-    )
-    _add_format_flag(p)
-
-    p = sub.add_parser("mean", help="exact expected coverage (subset scheme)")
-    _add_params_flags(p)
-    _add_format_flag(p)
-
-    p = sub.add_parser("tail", help="Pr(coverage >= tau) (subset scheme)")
-    _add_params_flags(p)
-    p.add_argument("--tau", type=int, required=True, help="coverage threshold")
-    _add_format_flag(p)
-
-    p = sub.add_parser("bounds", help="repetition bounds and distinctness probability")
-    _add_params_flags(p)
-    p.add_argument(
-        "--epsilon", type=_positive_int, default=1,
-        help="repetition-pair threshold in the Markov bound (default: 1)",
-    )
-    _add_format_flag(p)
-
-    p = sub.add_parser("theorem2", help="per-t scheme comparison inequality")
-    _add_params_flags(p)
-    _add_format_flag(p)
-
-    p = sub.add_parser("stirling", help="Stirling number of the second kind")
-    p.add_argument("--N", type=int, required=True, dest="big_n", help="set size")
-    p.add_argument("--K", type=int, required=True, dest="big_k", help="block count")
-    _add_format_flag(p)
-
-    p = sub.add_parser(
-        "crosscheck",
-        help="nested formula vs closed form vs enumeration, with discrepancy report",
-    )
-    _add_params_flags(p)
-    p.add_argument("--budget", type=_positive_int, help="work budget override")
-    _add_format_flag(p)
-
-    p = sub.add_parser("enumerate", help="exhaustive enumeration oracle")
-    _add_params_flags(p)
-    _add_scheme_flag(p)
-    p.add_argument("--budget", type=_positive_int, help="outcome budget override")
-    _add_format_flag(p)
-
-    for name, help_text in [
-        ("simulate", "Monte Carlo simulation"),
-        ("compare", "simulate and compare against the exact PMF"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_params_flags(p)
-        _add_scheme_flag(p)
-        p.add_argument("--trials", type=_positive_int, default=100_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=1)
-        _add_format_flag(p)
-
-    p = sub.add_parser("plan", help="minimal agent count for a coverage target")
-    _add_params_flags(p, with_k=False)
-    p.add_argument("--alpha", type=_fraction_arg, help="target expected coverage fraction")
-    p.add_argument("--tau", type=int, help="coverage threshold")
-    p.add_argument("--p", type=_fraction_arg, help="confidence for the threshold target")
-    p.add_argument("--k-max", type=_positive_int, default=DEFAULT_K_MAX)
-    _add_scheme_flag(p)
-    _add_format_flag(p)
-
-    return parser
-
-
-def _cmd_dist(args):
-    params = Params(args.n, args.m, args.k)
-    dist = (
-        coverage_pmf(params)
-        if args.scheme == SCHEME_SUBSET
-        else multinomial_coverage_pmf(params)
-    )
-    echo = {"n": args.n, "m": args.m, "k": args.k, "scheme": args.scheme}
-    if args.point_t is not None:
-        echo["t"] = args.point_t
-        value = dist.probability(args.point_t)
-        rj = rational_to_json(value)
-        result = {"scheme": args.scheme, "t": args.point_t, "probability": rj}
-        return echo, result, lambda: (
-            ["t", "num", "den", "approx"],
-            [[args.point_t, rj["num"], rj["den"], rj["approx"]]],
-        )
-    return echo, dist.to_json_dict(), dist.to_csv_rows
-
-
-def _cmd_mean(args):
-    params = Params(args.n, args.m, args.k)
-    value = mean_coverage(params)
-    echo = {"n": args.n, "m": args.m, "k": args.k}
-    rj = rational_to_json(value)
-    return echo, {"mean": rj}, lambda: (
-        ["num", "den", "approx"], [[rj["num"], rj["den"], rj["approx"]]]
-    )
-
-
-def _cmd_tail(args):
-    params = Params(args.n, args.m, args.k)
-    value = tail_probability(params, args.tau)
-    echo = {"n": args.n, "m": args.m, "k": args.k, "tau": args.tau}
-    rj = rational_to_json(value)
-    return echo, {"tau": args.tau, "probability": rj}, lambda: (
-        ["tau", "num", "den", "approx"],
-        [[args.tau, rj["num"], rj["den"], rj["approx"]]],
-    )
-
-
-def _cmd_bounds(args):
-    params = Params(args.n, args.m, args.k)
-    report = markov_repetition_bound(params, epsilon=args.epsilon)
-    echo = {"n": args.n, "m": args.m, "k": args.k, "epsilon": args.epsilon}
-    payload = report.to_json_dict()
-
-    def csv_table():
-        rows = [
-            [name, *[payload[name][f] for f in ("num", "den", "approx")]]
-            for name in (
-                "repetition_mean",
-                "single_stage_markov_bound",
-                "all_stages_markov_bound",
-                "all_distinct_probability",
-            )
-        ]
-        return ["quantity", "num", "den", "approx"], rows
-
-    return echo, payload, csv_table
-
-
-def _cmd_theorem2(args):
-    params = Params(args.n, args.m, args.k)
-    report = theorem2_check(params)
-    echo = {"n": args.n, "m": args.m, "k": args.k}
-
-    def csv_table():
-        rows = [
-            [
-                row.t,
-                str(row.lhs.numerator),
-                str(row.lhs.denominator),
-                str(row.rhs.numerator),
-                str(row.rhs.denominator),
-                row.holds,
-            ]
-            for row in report.rows
-        ]
-        return ["t", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "holds"], rows
-
-    return echo, report.to_json_dict(), csv_table
-
-
-def _cmd_stirling(args):
-    value = stirling2(args.big_n, args.big_k)
-    echo = {"N": args.big_n, "K": args.big_k}
-    result = {"N": args.big_n, "K": args.big_k, "value": str(value)}
-    return echo, result, lambda: (
-        ["N", "K", "value"], [[args.big_n, args.big_k, result["value"]]]
-    )
-
-
-def _cmd_crosscheck(args):
-    params = Params(args.n, args.m, args.k)
+def _crosscheck(args):
     budget = _effective_budget(args)
-    report = crosscheck(params, term_budget=budget, outcome_budget=budget)
-    echo = {"n": args.n, "m": args.m, "k": args.k}
-
-    def csv_table():
-        rows = [
-            [
-                row.t,
-                str(row.nested.numerator),
-                str(row.nested.denominator),
-                str(row.closed.numerator),
-                str(row.closed.denominator),
-            ]
-            for row in report.discrepancies
-        ]
-        return ["t", "nested_num", "nested_den", "closed_num", "closed_den"], rows
-
-    return echo, report.to_json_dict(), csv_table
+    return crosscheck(_params(args), term_budget=budget, outcome_budget=budget)
 
 
-def _cmd_enumerate(args):
-    params = Params(args.n, args.m, args.k)
+def _enumerate(args):
     budget = _effective_budget(args)
     if args.scheme == SCHEME_SUBSET:
-        oracle = enumerate_subset_scheme(params, outcome_budget=budget)
-    else:
-        oracle = enumerate_multinomial_scheme(params, outcome_budget=budget)
-    echo = {"n": args.n, "m": args.m, "k": args.k, "scheme": args.scheme}
-    return echo, oracle.to_json_dict(), lambda: (
-        ["t", "count"], [[t, c] for t, c in sorted(oracle.union_size_counts.items())]
-    )
+        return enumerate_subset_scheme(_params(args), outcome_budget=budget)
+    return enumerate_multinomial_scheme(_params(args), outcome_budget=budget)
 
 
-# The sampling handlers import monte_carlo (and so numpy) when they run, so
-# the exact commands never load it.
-def _simulation_config(args) -> SimulationConfig:
-    from .monte_carlo import SimulationConfig
+# Sampling imports monte_carlo (and so numpy) when it runs, so the exact
+# commands never load it.
+def _sample(args):
+    from .monte_carlo import ComparisonRun, SimulationConfig, compare, simulate
 
-    return SimulationConfig(
-        params=Params(args.n, args.m, args.k),
-        trials=args.trials,
-        seed=args.seed,
-        scheme_tag=args.scheme,
-        workers=args.workers,
-    )
-
-
-def _simulation_echo(args) -> dict:
-    return {
-        "n": args.n,
-        "m": args.m,
-        "k": args.k,
-        "scheme": args.scheme,
-        "trials": args.trials,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-
-
-def _cmd_simulate(args):
-    from .monte_carlo import simulate
-
-    empirical = simulate(_simulation_config(args))
-    return _simulation_echo(args), empirical.to_json_dict(), empirical.to_csv_rows
-
-
-def _cmd_compare(args):
-    from .monte_carlo import compare, simulate
-
-    config = _simulation_config(args)
+    config = SimulationConfig(_params(args), args.trials, args.seed, args.scheme,
+                              args.workers)
     empirical = simulate(config)
-    exact = (
-        coverage_pmf(config.params)
-        if args.scheme == SCHEME_SUBSET
-        else multinomial_coverage_pmf(config.params)
-    )
-    report = compare(empirical, exact)
-    payload = {
-        "comparison": report.to_json_dict(),
-        "empirical": empirical.to_json_dict(),
-    }
-    header = [
-        "total_variation_distance",
-        "chi_square_statistic",
-        "degrees_of_freedom",
-        "max_abs_deviation",
-    ]
-    return _simulation_echo(args), payload, lambda: (
-        header, [[getattr(report, name) for name in header]]
-    )
+    if args.command == "simulate":
+        return empirical
+    return ComparisonRun(compare(empirical, _pmf(args)), empirical)
 
 
-def _cmd_plan(args):
-    expected_mode = args.alpha is not None
+def _plan(args):
     query = PlanQuery(
         n=args.n,
         m=args.m,
@@ -395,50 +136,118 @@ def _cmd_plan(args):
         scheme_tag=args.scheme,
         k_max=args.k_max,
     )
-    result = min_agents_expected(query) if expected_mode else min_agents_confident(query)
-    echo = {
-        "n": args.n,
-        "m": args.m,
-        "scheme": args.scheme,
-        "k_max": args.k_max,
-        "alpha": str(args.alpha) if args.alpha is not None else None,
-        "tau": args.tau,
-        "p": str(args.p) if args.p is not None else None,
-    }
-    payload = result.to_json_dict()
-    achieved = payload["achieved"]
-    header = ["k", "achieved_num", "achieved_den", "achieved_approx",
-              "verified_at_k_minus_1", "cap_exceeded"]
-    return echo, payload, lambda: (header, [[
-        result.k,
-        achieved["num"],
-        achieved["den"],
-        achieved["approx"],
-        result.verified_at_k_minus_1,
-        result.cap_exceeded,
-    ]])
+    if args.alpha is not None:
+        return min_agents_expected(query)
+    return min_agents_confident(query)
 
 
-_HANDLERS = {
-    "dist": _cmd_dist,
-    "mean": _cmd_mean,
-    "tail": _cmd_tail,
-    "bounds": _cmd_bounds,
-    "theorem2": _cmd_theorem2,
-    "stirling": _cmd_stirling,
-    "crosscheck": _cmd_crosscheck,
-    "enumerate": _cmd_enumerate,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "plan": _cmd_plan,
+def _flag(name, **options):
+    return name, options
+
+
+_N = _flag("--n", type=int, required=True, help="node count")
+_M = _flag("--m", type=int, required=True, help="nodes visited per agent")
+_K = _flag("--k", type=int, required=True, help="agent count")
+_PARAMS = (_N, _M, _K)
+_SCHEME = _flag(
+    "--scheme",
+    choices=[SCHEME_SUBSET, SCHEME_MULTINOMIAL],
+    default=SCHEME_SUBSET,
+    help="allocation scheme (default: subset)",
+)
+_SAMPLING = (
+    *_PARAMS,
+    _SCHEME,
+    _flag("--trials", type=_positive_int, default=100_000),
+    _flag("--seed", type=int, default=0),
+    _flag("--workers", type=_positive_int, default=1),
+)
+
+# command -> (help, flags, call). Each call turns the parsed args into a
+# result that prints itself through to_json_dict() / to_csv_rows(); every
+# command also takes --format.
+_COMMANDS = {
+    "dist": ("exact coverage PMF", (
+        *_PARAMS, _SCHEME,
+        _flag("--t", type=int, help="report only pmf(t) instead of the whole table"),
+    ), _dist),
+    "mean": ("exact expected coverage (subset scheme)", _PARAMS,
+             lambda args: ScalarResult("mean", mean_coverage(_params(args)))),
+    "tail": ("Pr(coverage >= tau) (subset scheme)", (
+        *_PARAMS, _flag("--tau", type=int, required=True, help="coverage threshold"),
+    ), lambda args: ScalarResult("probability", tail_probability(_params(args), args.tau),
+                                 {"tau": args.tau})),
+    "bounds": ("repetition bounds and distinctness probability", (
+        *_PARAMS,
+        _flag("--epsilon", type=_positive_int, default=1,
+              help="repetition-pair threshold in the Markov bound (default: 1)"),
+    ), lambda args: markov_repetition_bound(_params(args), epsilon=args.epsilon)),
+    "theorem2": ("per-t scheme comparison inequality", _PARAMS,
+                 lambda args: theorem2_check(_params(args))),
+    "stirling": ("Stirling number of the second kind", (
+        _flag("--N", type=int, required=True, help="set size"),
+        _flag("--K", type=int, required=True, help="block count"),
+    ), lambda args: ScalarResult("value", stirling2(args.N, args.K),
+                                 {"N": args.N, "K": args.K})),
+    "crosscheck": (
+        "nested formula vs closed form vs enumeration, with discrepancy report",
+        (*_PARAMS, _flag("--budget", type=_positive_int, help="work budget override")),
+        _crosscheck,
+    ),
+    "enumerate": ("exhaustive enumeration oracle", (
+        *_PARAMS, _SCHEME,
+        _flag("--budget", type=_positive_int, help="outcome budget override"),
+    ), _enumerate),
+    "simulate": ("Monte Carlo simulation", _SAMPLING, _sample),
+    "compare": ("simulate and compare against the exact PMF", _SAMPLING, _sample),
+    "plan": ("minimal agent count for a coverage target", (
+        _N, _M, _SCHEME,
+        _flag("--k-max", type=_positive_int, default=DEFAULT_K_MAX),
+        _flag("--alpha", type=_fraction_arg, help="target expected coverage fraction"),
+        _flag("--tau", type=int, help="coverage threshold"),
+        _flag("--p", type=_fraction_arg, help="confidence for the threshold target"),
+    ), _plan),
 }
 
+_HANDLERS = {command: call for command, (_, _, call) in _COMMANDS.items()}
 
-def _emit(command: str, echo: dict, result: dict, csv_table, output_format: str):
-    """Print the JSON envelope, or the CSV table: ``csv_table`` is a
-    zero-argument callable returning (header, rows), called only for CSV."""
+# Parsed values that are not echoed back.
+_NOT_ECHOED = ("command", "output_format", "budget")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="rovecover", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, options in flags:
+            p.add_argument(name, **options)
+        p.add_argument(
+            "--format",
+            choices=["json", "csv"],
+            default="json",
+            dest="output_format",
+            help="output format (default: json)",
+        )
+    return parser
+
+
+def _echo(args) -> dict:
+    """The parsed flags in flag order, rationals as strings. An absent
+    optional value is left out (dist's --t), except that plan echoes its
+    unused targets as null."""
+    return {
+        key: str(value) if isinstance(value, Fraction) else value
+        for key, value in vars(args).items()
+        if key not in _NOT_ECHOED and (value is not None or args.command == "plan")
+    }
+
+
+def _emit(command: str, echo: dict, body, output_format: str):
+    """Print ``body`` as a CSV table (it is a (header, rows) pair), or in the
+    JSON envelope (it is the result's JSON dict)."""
     if output_format == "csv":
-        header, rows = csv_table()
+        header, rows = body
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -446,7 +255,7 @@ def _emit(command: str, echo: dict, result: dict, csv_table, output_format: str)
     envelope = {
         "command": command,
         "params_echo": echo,
-        "result": result,
+        "result": body,
         "format_version": FORMAT_VERSION,
     }
     print(json.dumps(envelope, indent=2))
@@ -456,20 +265,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        echo, result, csv_table = _HANDLERS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+        result = _HANDLERS[args.command](args)
+        # Serialized before anything is printed, so an answer too large to
+        # print fails with no partial output.
+        csv_format = args.output_format == "csv"
+        body = result.to_csv_rows() if csv_format else result.to_json_dict()
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    _emit(args.command, echo, result, csv_table, args.output_format)
-    if args.command == "plan" and result.get("cap_exceeded"):
-        return EXIT_BUDGET
-    return EXIT_OK
+    _emit(args.command, _echo(args), body, args.output_format)
+    # Only a plan can end past its cap; it prints its answer and exits 3.
+    return EXIT_BUDGET if getattr(result, "cap_exceeded", False) else EXIT_OK
 
 
 if __name__ == "__main__":

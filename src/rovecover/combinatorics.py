@@ -8,7 +8,9 @@ floating point except the display-only ``approx`` field of the JSON form.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Mapping
 
 
 def binomial(n: int, k: int) -> int:
@@ -90,3 +92,29 @@ def rational_to_json(value: Fraction) -> dict:
 def rational_from_json(obj: dict) -> Fraction:
     """Inverse of :func:`rational_to_json`; the float approx is ignored."""
     return Fraction(int(obj["num"]), int(obj["den"]))
+
+
+@dataclass(frozen=True)
+class ScalarResult:
+    """One exact number and the labels that identify it.
+
+    ``labels`` come before the value in both forms; ``context`` is printed
+    only in the JSON form. A ``Fraction`` prints as num/den/approx, an int as
+    its decimal string under ``name``."""
+
+    name: str
+    value: Fraction | int
+    labels: Mapping[str, object] = field(default_factory=dict)
+    context: Mapping[str, object] = field(default_factory=dict)
+
+    def to_json_dict(self) -> dict:
+        value = self.value
+        shown = rational_to_json(value) if isinstance(value, Fraction) else str(value)
+        return {**self.context, **self.labels, self.name: shown}
+
+    def to_csv_rows(self) -> tuple[list[str], list[list]]:
+        if isinstance(self.value, Fraction):
+            shown = rational_to_json(self.value)
+        else:
+            shown = {self.name: str(self.value)}
+        return [*self.labels, *shown], [[*self.labels.values(), *shown.values()]]

@@ -79,6 +79,9 @@ class OracleResult:
             ]
         return result
 
+    def to_csv_rows(self) -> tuple[list[str], list[list]]:
+        return ["t", "count"], [[t, c] for t, c in sorted(self.union_size_counts.items())]
+
 
 def _check_budget(total: int, budget: int | None, what: str) -> None:
     limit = DEFAULT_OUTCOME_BUDGET if budget is None else budget
@@ -188,6 +191,15 @@ class CrosscheckReport:
             "enumeration_agrees_closed": self.enumeration_agrees_closed,
             "enumeration_agrees_nested": self.enumeration_agrees_nested,
         }
+
+    def to_csv_rows(self) -> tuple[list[str], list[list]]:
+        header = ["t", "nested_num", "nested_den", "closed_num", "closed_den"]
+        rows = [
+            [row.t, str(row.nested.numerator), str(row.nested.denominator),
+             str(row.closed.numerator), str(row.closed.denominator)]
+            for row in self.discrepancies
+        ]
+        return header, rows
 
 
 def crosscheck(

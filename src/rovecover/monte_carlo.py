@@ -17,8 +17,9 @@ classical uniformity-preserving constructions.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -124,12 +125,28 @@ class ComparisonReport:
     max_abs_deviation: float
 
     def to_json_dict(self) -> dict:
+        return asdict(self)
+
+    def to_csv_rows(self) -> tuple[list[str], list[list]]:
+        fields = self.to_json_dict()
+        return list(fields), [list(fields.values())]
+
+
+@dataclass(frozen=True)
+class ComparisonRun:
+    """A simulation together with its distance from the exact PMF."""
+
+    comparison: ComparisonReport
+    empirical: EmpiricalDistribution
+
+    def to_json_dict(self) -> dict:
         return {
-            "total_variation_distance": self.total_variation_distance,
-            "chi_square_statistic": self.chi_square_statistic,
-            "degrees_of_freedom": self.degrees_of_freedom,
-            "max_abs_deviation": self.max_abs_deviation,
+            "comparison": self.comparison.to_json_dict(),
+            "empirical": self.empirical.to_json_dict(),
         }
+
+    def to_csv_rows(self) -> tuple[list[str], list[list]]:
+        return self.comparison.to_csv_rows()
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -239,16 +256,16 @@ def simulate(config: SimulationConfig) -> EmpiricalDistribution:
     """Run the configured trials and tabulate covered-node counts.
 
     With workers > 1 the trial blocks are split into contiguous chunks
-    processed by a thread pool; because each block's stream is keyed by its
-    own index and count merging is a plain sum, the output is identical for
-    every worker count.
+    processed by a thread pool of at most one thread per block and per CPU;
+    because each block's stream is keyed by its own index and count merging
+    is a plain sum, the output is identical for every worker count.
     """
     lo, hi = support_bounds(config.params, config.scheme_tag)
     blocks = list(_block_ranges(config.trials))
-    if config.workers == 1 or len(blocks) == 1:
+    chunk_count = min(config.workers, len(blocks), os.cpu_count() or 1)
+    if chunk_count == 1:
         counts, repetition_events = _simulate_blocks(config, blocks, hi)
     else:
-        chunk_count = min(config.workers, len(blocks))
         size, rem = divmod(len(blocks), chunk_count)
         chunks = []
         start = 0

@@ -111,6 +111,12 @@ class BoundReport:
             ),
         }
 
+    def to_csv_rows(self) -> tuple[list[str], list[list]]:
+        names = ("repetition_mean", "single_stage_markov_bound",
+                 "all_stages_markov_bound", "all_distinct_probability")
+        rows = [[name, *rational_to_json(getattr(self, name)).values()] for name in names]
+        return ["quantity", "num", "den", "approx"], rows
+
 
 def markov_repetition_bound(params: Params, epsilon: int = 1) -> BoundReport:
     """Markov bound on the within-stage repetition probability.
@@ -176,6 +182,15 @@ class Theorem2Report:
                 for row in self.rows
             ],
         }
+
+    def to_csv_rows(self) -> tuple[list[str], list[list]]:
+        header = ["t", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "holds"]
+        rows = [
+            [row.t, str(row.lhs.numerator), str(row.lhs.denominator),
+             str(row.rhs.numerator), str(row.rhs.denominator), row.holds]
+            for row in self.rows
+        ]
+        return header, rows
 
 
 def theorem2_check(params: Params) -> Theorem2Report:

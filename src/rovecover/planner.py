@@ -100,6 +100,12 @@ class PlanResult:
             "cap_exceeded": self.cap_exceeded,
         }
 
+    def to_csv_rows(self) -> tuple[list[str], list[list]]:
+        header = ["k", "achieved_num", "achieved_den", "achieved_approx",
+                  "verified_at_k_minus_1", "cap_exceeded"]
+        return header, [[self.k, *rational_to_json(self.achieved).values(),
+                         self.verified_at_k_minus_1, self.cap_exceeded]]
+
 
 def _distribution(scheme_tag: str, params: Params) -> CoverageDistribution:
     if scheme_tag == SCHEME_SUBSET:

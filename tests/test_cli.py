@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from rovecover import cli, monte_carlo
 from rovecover.cli import main
 from rovecover.combinatorics import rational_from_json
 from rovecover.subset_scheme import Params, coverage_pmf
@@ -238,6 +239,23 @@ class TestErrorHandling:
         assert code == 2
         assert "confidence of 1 is infeasible" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unprintable_answer_fails_before_output(self, capsys, fmt):
+        # S(3000, 40) has more digits than CPython's default int->str limit;
+        # the answer is serialized before anything is printed.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_main(capsys, "stirling", "--N", "3000", "--K", "40",
+                                      "--format", fmt)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert "set_int_max_str_digits" in lines[0]
+
 
 class TestSimulationCommands:
     def test_simulate_json(self, capsys):
@@ -278,6 +296,41 @@ class TestSimulationCommands:
         assert code == 0
         comparison = json.loads(out)["result"]["comparison"]
         assert 0 <= comparison["total_variation_distance"] <= 0.05
+
+    def test_workers_capped_at_cpu_count(self, capsys, monkeypatch):
+        pools = []
+
+        class SerialExecutor:
+            # Records the pool size asked for and starts no thread.
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", SerialExecutor)
+        argv = ["simulate", "--n", "6", "--m", "2", "--k", "3", "--trials", "9000",
+                "--seed", "3"]
+        code, out, _ = run_main(capsys, *argv)
+        one_worker = json.loads(out)
+        monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: 2)
+        code, out, _ = run_main(capsys, *argv, "--workers", "100000")
+        assert code == 0
+        assert pools == [2]  # three blocks, two CPUs
+        many = json.loads(out)
+        assert many["params_echo"]["workers"] == many["result"]["workers"] == 100000
+        assert many["result"]["counts"] == one_worker["result"]["counts"]
+        monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: None)
+        code, out, _ = run_main(capsys, *argv, "--workers", "100000")
+        assert code == 0
+        assert pools == [2]  # an unknown CPU count runs on the calling thread
+        assert json.loads(out)["result"]["counts"] == one_worker["result"]["counts"]
 
     def test_enumerate_json(self, capsys):
         code, out, _ = run_main(
@@ -344,3 +397,38 @@ def test_exact_commands_run_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_every_result_class_has_both_forms():
+    # The CLI prints a result through to_json_dict() or to_csv_rows(), so a
+    # class with one form must have the other.
+    import importlib
+    import pkgutil
+
+    import rovecover
+
+    for info in pkgutil.iter_modules(rovecover.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"rovecover.{info.name}")
+    results = {
+        value
+        for name, module in sys.modules.items()
+        if name == "rovecover" or name.startswith("rovecover.")
+        for value in vars(module).values()
+        if isinstance(value, type) and "to_json_dict" in vars(value)
+    }
+    assert {cls.__name__ for cls in results} >= {
+        "BoundReport", "ComparisonReport", "ComparisonRun", "CoverageDistribution",
+        "CrosscheckReport", "EmpiricalDistribution", "OracleResult", "PlanResult",
+        "ScalarResult", "Theorem2Report",
+    }
+    for cls in results:
+        assert "to_csv_rows" in vars(cls), cls.__name__
+
+
+@pytest.mark.parametrize("command", [[], *[[name] for name in cli._COMMANDS]])
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: rovecover {' '.join(command)}".rstrip())

@@ -4,7 +4,8 @@ Each file in ``tests/golden`` holds the stdout of ``rovecover <argv>`` for
 the entry of the same name below, recorded before the inclusion-exclusion
 PMF builders were replaced by the covered-count chain; the ``simulate_floyd``
 entries (n above the partial-shuffle cutoff) were recorded before the
-Floyd sampler ran vectorized over the block. Any change to an exact value,
+Floyd sampler ran vectorized over the block; the ``enumerate`` entries were
+recorded before the CLI handlers became one table. Any change to an exact value,
 to the JSON/CSV layout or to a seeded simulation shows up here as a byte
 difference.
 """
@@ -62,6 +63,9 @@ GOLDEN = {
     "stirling_csv": ("stirling --N 30 --K 7 --format csv", 0),
     "bounds": ("bounds --n 100 --m 5 --k 3", 0),
     "bounds_clamped_csv": ("bounds --n 10 --m 6 --k 4 --epsilon 2 --format csv", 0),
+    "enumerate_subset": ("enumerate --n 4 --m 2 --k 2", 0),
+    "enumerate_multinomial": ("enumerate --scheme multinomial --n 4 --m 2 --k 2", 0),
+    "enumerate_csv": ("enumerate --n 3 --m 1 --k 2 --format csv", 0),
 }
 
 
