@@ -3,6 +3,7 @@
 Every subcommand maps onto one library operation and prints a JSON
 envelope (or a CSV table) on stdout. Validation problems exit 2 with a
 single-line diagnostic on stderr; refusals to exceed a work budget exit 3.
+A reader that closes stdout early ends the run with exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ FORMAT_VERSION = "1.0.0"
 BUDGET_ENV_VAR = "ROVE_COVER_BUDGET"
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
@@ -276,7 +278,16 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    _emit(args.command, _echo(args), body, args.output_format)
+    try:
+        _emit(args.command, _echo(args), body, args.output_format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``). Python's documented recipe:
+        # point stdout at devnull so the interpreter's final flush of what
+        # is still buffered does not raise again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     # Only a plan can end past its cap; it prints its answer and exits 3.
     return EXIT_BUDGET if getattr(result, "cap_exceeded", False) else EXIT_OK
 

@@ -2,12 +2,18 @@
 
 Two target styles are offered, since the operational question can be
 posed either way: reach an expected coverage fraction, or reach a node
-threshold with a given confidence. Searches use exact arithmetic; the
-returned k is always re-verified minimal by checking k-1 fails.
+threshold with a given confidence. Searches use exact arithmetic, and
+the returned k is minimal: k-1 is checked to fail.
+
+An expected-coverage plan solves the closed form for k. A confident plan
+walks the covered-count chain once over k = 1, 2, ..., compares integer
+tail counts against the confidence at each k, and builds one PMF, at the
+answer, whose tail must equal the walk's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +25,7 @@ from .subset_scheme import (
     SCHEME_SUBSET,
     CoverageDistribution,
     Params,
+    _cover_chain,
     coverage_pmf,
     miss_ratio,
     support_bounds,
@@ -175,15 +182,18 @@ def min_agents_expected(query: PlanQuery) -> PlanResult:
 def min_agents_confident(query: PlanQuery) -> PlanResult:
     """Smallest k with Pr(coverage >= threshold) at or above the confidence.
 
-    A linear scan from k = 1 with exact tail probabilities: the first hit
-    is minimal by construction, with no reliance on monotonicity in k.
+    One walk of the covered-count chain over k = 1, 2, ...: each k is
+    decided on the integer tail sum_{t >= tau} C(n, t) * cover[t] against
+    confidence * outcomes, so the first hit is minimal by construction,
+    with no reliance on monotonicity in k. Only the answer's PMF (or the
+    PMF at k_max) is built, and its tail must equal the walk's.
     """
     if query.threshold is None or query.confidence is None:
         raise ValueError("query has no threshold/confidence target")
-    tau, p = query.threshold, query.confidence
+    n, m, tau, p = query.n, query.m, query.threshold, query.confidence
     # All agents may visit the same nodes, so for every k the coverage stays
     # at the k = 1 floor with positive probability.
-    floor, _ = support_bounds(Params(query.n, query.m, 1), query.scheme_tag)
+    floor, _ = support_bounds(Params(n, m, 1), query.scheme_tag)
     if p == 1 and tau > floor:
         raise ValueError(f"a confidence of 1 is infeasible for tau > {floor}")
     target = {
@@ -191,20 +201,24 @@ def min_agents_confident(query: PlanQuery) -> PlanResult:
         "confidence": rational_to_json(p),
         "scheme": query.scheme_tag,
     }
-    achieved = Fraction(0)
-    for k in range(1, query.k_max + 1):
-        achieved = _distribution(query.scheme_tag, Params(query.n, query.m, k)).tail(tau)
-        if achieved >= p:
-            return PlanResult(
-                k=k,
-                achieved=achieved,
-                target=target,
-                verified_at_k_minus_1=True,
-            )
+    weights = [math.comb(n, t) for t in range(tau, n + 1)]
+    chain = _cover_chain(n, m, query.scheme_tag)
+    for k, (cover, outcomes) in enumerate(itertools.islice(chain, query.k_max), 1):
+        hit = sum(w * ways for w, ways in zip(weights, cover[tau:]))
+        reached = hit * p.denominator >= p.numerator * outcomes
+        if reached:
+            break
+    # Drop the walk's chain state before the PMF's chain is built.
+    del cover, chain
+    achieved = _distribution(query.scheme_tag, Params(n, m, k)).tail(tau)
+    if achieved != Fraction(hit, outcomes):
+        raise ArithmeticError(
+            f"tail mismatch at k={k}: pmf {achieved} vs chain walk {Fraction(hit, outcomes)}"
+        )
     return PlanResult(
-        k=None,
+        k=k if reached else None,
         achieved=achieved,
         target=target,
-        verified_at_k_minus_1=False,
-        cap_exceeded=True,
+        verified_at_k_minus_1=reached,
+        cap_exceeded=not reached,
     )

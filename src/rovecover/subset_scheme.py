@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .combinatorics import binomial, rational_to_json
 from .errors import BudgetExceeded
@@ -156,39 +156,55 @@ def q_count(k: int, m: int, t: int) -> int:
     return total
 
 
-def _chain_distribution(params: Params, scheme_tag: str) -> CoverageDistribution:
-    """Distribution of the covered-node count by the covered-count chain
-    (Stadje, Adv. Appl. Prob. 22, 1990), run on numbers that do not depend
-    on n. ``cover[c]`` counts the outcomes so far whose visited set is
-    exactly one fixed c-node set; there are C(n, t) such sets of size t, so
-    C(n, t) * cover[t] outcomes cover t nodes. After the last step
-    ``cover[t]`` is q_count(k, m, t) (subset) or t! * S(mk, t) = r_count(k,
-    m, t) (multinomial). Every term is a nonnegative count, so nothing
-    cancels, and entries above c = n are never needed."""
-    n, m, k = params.n, params.m, params.k
+def _cover_chain(n: int, m: int, scheme_tag: str) -> Iterator[tuple[list[int], int]]:
+    """The covered-count chain (Stadje, Adv. Appl. Prob. 22, 1990), run on
+    numbers that do not depend on n. Yields ``(cover, outcomes)`` after
+    each agent (subset) or stage of m drops (multinomial), for k = 1, 2, ...
+    without end. ``cover[c]`` counts the outcomes so far whose visited set
+    is exactly one fixed c-node set; there are C(n, t) such sets of size t,
+    so C(n, t) * cover[t] of the ``outcomes`` equally likely outcomes cover
+    t nodes. After k steps ``cover[t]`` is q_count(k, m, t) (subset) or
+    t! * S(mk, t) = r_count(k, m, t) (multinomial), and ``outcomes`` is
+    C(n, m)^k or n^(mk). Every term is a nonnegative count, so nothing
+    cancels, and entries above c = n are never needed. A yielded ``cover``
+    is the chain's own state: read it before asking for the next step."""
     cover = [1]
+    outcomes = 1
     if scheme_tag == SCHEME_SUBSET:
         # One step per agent: its m-subset adds d new nodes to the c - d
         # already covered, in C(c, m) * C(m, d) ways. Convolving with the
         # row C(m, d) is m passes of Pascal's rule, additions only.
-        fits = [math.comb(c, m) for c in range(min(k * m, n) + 1)]
-        for _ in range(k):
+        fits = []
+        agent_outcomes = math.comb(n, m)
+        while True:
             for _ in range(m):
                 shifted = [0, *cover]
                 if len(cover) <= n:
                     cover.append(0)
                 cover = [a + b for a, b in zip(cover, shifted)]
+            fits.extend(math.comb(c, m) for c in range(len(fits), len(cover)))
             cover = [fit * ways for fit, ways in zip(fits, cover)]
-        outcomes = math.comb(n, m) ** k
-    else:
-        # One step per drop: it lands on one of the c nodes already visited
-        # (c * cover[c]) or is the first visit to any one of the c, the
-        # other c - 1 visited before (c * cover[c - 1]).
-        for _ in range(m * k):
+            outcomes *= agent_outcomes
+            yield cover, outcomes
+    # One step per drop: it lands on one of the c nodes already visited
+    # (c * cover[c]) or is the first visit to any one of the c, the other
+    # c - 1 visited before (c * cover[c - 1]).
+    stage_outcomes = n**m
+    while True:
+        for _ in range(m):
             if len(cover) <= n:
                 cover.append(0)
             cover = [0] + [c * (cover[c] + cover[c - 1]) for c in range(1, len(cover))]
-        outcomes = n ** (m * k)
+        outcomes *= stage_outcomes
+        yield cover, outcomes
+
+
+def _chain_distribution(params: Params, scheme_tag: str) -> CoverageDistribution:
+    """Distribution of the covered-node count from the k-th step of
+    :func:`_cover_chain`."""
+    n, k = params.n, params.k
+    chain = _cover_chain(n, params.m, scheme_tag)
+    cover, outcomes = next(itertools.islice(chain, k - 1, None))
     counts = {t: math.comb(n, t) * ways for t, ways in enumerate(cover) if ways}
     return make_distribution(params, scheme_tag, counts, outcomes)
 

@@ -239,6 +239,23 @@ class TestErrorHandling:
         assert code == 2
         assert "confidence of 1 is infeasible" in err
 
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # `dist ... | head -1`: the ~140 kB answer overflows the pipe, so the
+        # writes after the reader closes it fail with EPIPE.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rovecover", "dist", "--n", "300", "--m", "30",
+             "--k", "8"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=cli_env(),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert err == ""
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_unprintable_answer_fails_before_output(self, capsys, fmt):
         # S(3000, 40) has more digits than CPython's default int->str limit;

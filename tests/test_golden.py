@@ -5,9 +5,11 @@ the entry of the same name below, recorded before the inclusion-exclusion
 PMF builders were replaced by the covered-count chain; the ``simulate_floyd``
 entries (n above the partial-shuffle cutoff) were recorded before the
 Floyd sampler ran vectorized over the block; the ``enumerate`` entries were
-recorded before the CLI handlers became one table. Any change to an exact value,
-to the JSON/CSV layout or to a seeded simulation shows up here as a byte
-difference.
+recorded before the CLI handlers became one table; the
+``plan_confident_found_repro`` and ``plan_confident_multinomial_benchmark_csv``
+entries were recorded before confident plans walked the chain once. Any
+change to an exact value, to the JSON/CSV layout or to a seeded simulation
+shows up here as a byte difference.
 """
 
 import os
@@ -47,6 +49,9 @@ GOLDEN = {
     "plan_confident_subset": ("plan --n 4 --m 2 --tau 4 --p 1/6", 0),
     "plan_confident_multinomial_csv": (
         "plan --scheme multinomial --n 8 --m 2 --tau 6 --p 1/2 --format csv", 0),
+    "plan_confident_found_repro": ("plan --n 200 --m 10 --tau 190 --p 9/10", 0),
+    "plan_confident_multinomial_benchmark_csv": (
+        "plan --scheme multinomial --n 146 --m 23 --tau 125 --p 9/10 --format csv", 0),
     "plan_confidence_one_at_floor": ("plan --n 9 --m 4 --tau 3 --p 1", 0),
     "plan_cap_exceeded": ("plan --n 4 --m 2 --tau 4 --p 999/1000 --k-max 10", 3),
     "compare_subset": ("compare --n 20 --m 5 --k 3 --trials 2000 --seed 7", 0),

@@ -1,13 +1,71 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rovecover import planner
+from rovecover.combinatorics import rational_to_json
+from rovecover.multinomial_scheme import multinomial_coverage_pmf
 from rovecover.planner import (
     PlanQuery,
+    PlanResult,
     min_agents_confident,
     min_agents_expected,
 )
-from rovecover.subset_scheme import Params, mean_coverage, tail_probability
+from rovecover.subset_scheme import (
+    Params,
+    coverage_pmf,
+    make_distribution,
+    mean_coverage,
+    support_bounds,
+    tail_probability,
+)
+
+
+def reference_confident_plan(query):
+    """The confident plan as a scan that builds every k's whole PMF from
+    k = 1 up and reads its tail, as the planner did before it walked the
+    chain once."""
+    tau, p = query.threshold, query.confidence
+    floor, _ = support_bounds(Params(query.n, query.m, 1), query.scheme_tag)
+    if p == 1 and tau > floor:
+        raise ValueError(f"a confidence of 1 is infeasible for tau > {floor}")
+    build = coverage_pmf if query.scheme_tag == "subset" else multinomial_coverage_pmf
+    target = {
+        "threshold": tau,
+        "confidence": rational_to_json(p),
+        "scheme": query.scheme_tag,
+    }
+    achieved = Fraction(0)
+    for k in range(1, query.k_max + 1):
+        achieved = build(Params(query.n, query.m, k)).tail(tau)
+        if achieved >= p:
+            return PlanResult(k, achieved, target, verified_at_k_minus_1=True)
+    return PlanResult(None, achieved, target, verified_at_k_minus_1=False,
+                      cap_exceeded=True)
+
+
+def outcome(plan, query):
+    """The plan's result, or its ValueError message."""
+    try:
+        return plan(query)
+    except ValueError as exc:
+        return str(exc)
+
+
+def count_pmf_calls(monkeypatch):
+    """Wrap both PMF builders the planner calls; returns the call list."""
+    calls = []
+    for name in ("coverage_pmf", "multinomial_coverage_pmf"):
+        build = getattr(planner, name)
+
+        def counted(params, build=build):
+            calls.append(params)
+            return build(params)
+
+        monkeypatch.setattr(planner, name, counted)
+    return calls
 
 
 class TestPlanQueryValidation:
@@ -170,6 +228,66 @@ class TestMinAgentsConfident:
                 multinomial_coverage_pmf(Params(5, 2, result.k - 1)).tail(4)
                 < Fraction(1, 2)
             )
+
+
+class TestSinglePassMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        data=st.data(),
+        scheme=st.sampled_from(["subset", "multinomial"]),
+        p=st.sampled_from([Fraction(1, 7), Fraction(1, 2), Fraction(5, 6),
+                           Fraction(99, 100), Fraction(1)]),
+        k_max=st.sampled_from([1, 3, 50]),
+    )
+    def test_same_plan_as_per_k_pmf_scan(self, n, data, scheme, p, k_max):
+        m = data.draw(st.integers(1, n), label="m")
+        for tau in range(1, n + 1):
+            query = PlanQuery(n=n, m=m, threshold=tau, confidence=p,
+                              scheme_tag=scheme, k_max=k_max)
+            assert outcome(min_agents_confident, query) == outcome(
+                reference_confident_plan, query), tau
+
+    def test_pmf_disagreeing_with_the_walk_raises(self, monkeypatch):
+        def perturbed(params):
+            # Move one outcome from the top of the support to the bottom:
+            # still a distribution, but its tail is off by 1 / outcomes.
+            dist = coverage_pmf(params)
+            counts = {t: int(p * dist.outcomes) for t, p in dist.pmf.items()}
+            counts[dist.support_hi] -= 1
+            counts[dist.support_lo] += 1
+            return make_distribution(params, dist.scheme_tag, counts, dist.outcomes)
+
+        monkeypatch.setattr(planner, "coverage_pmf", perturbed)
+        with pytest.raises(ArithmeticError, match="tail mismatch"):
+            min_agents_confident(
+                PlanQuery(n=6, m=2, threshold=5, confidence=Fraction(1, 2)))
+
+
+class TestOnePmfPerPlan:
+    def test_found_size_builds_one_pmf(self, monkeypatch):
+        # The per-k scan built all 65 PMFs of this plan.
+        calls = count_pmf_calls(monkeypatch)
+        result = min_agents_confident(
+            PlanQuery(n=200, m=10, threshold=190, confidence=Fraction(9, 10)))
+        assert result.k == 65
+        assert calls == [Params(200, 10, 65)]
+
+    def test_cap_exceeded_builds_one_pmf(self, monkeypatch):
+        calls = count_pmf_calls(monkeypatch)
+        result = min_agents_confident(PlanQuery(
+            n=200, m=10, threshold=190, confidence=Fraction(9, 10), k_max=10))
+        assert result.cap_exceeded and result.k is None
+        assert calls == [Params(200, 10, 10)]
+        assert result.achieved == tail_probability(Params(200, 10, 10), 190)
+
+    def test_multinomial_builds_one_pmf(self, monkeypatch):
+        calls = count_pmf_calls(monkeypatch)
+        result = min_agents_confident(PlanQuery(
+            n=146, m=23, threshold=125, confidence=Fraction(9, 10),
+            scheme_tag="multinomial"))
+        assert result.k == 14
+        assert calls == [Params(146, 23, 14)]
 
 
 class TestPlanResultJson:
